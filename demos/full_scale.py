@@ -3,10 +3,12 @@
 
 Sweeps the complete 181x121 receiver grid on the default 40x40 surface
 (21,901 samples), trains the network, and writes the evaluation report
-plus a per-angle gap CSV suitable for heatmap plotting. Expect roughly
-an hour of dataset generation plus several hours of training on one
-core. All stages are seeded and resumable in the sense that the dataset
-directory is reused if it already holds a manifest.
+plus a per-angle gap CSV suitable for heatmap plotting. Dataset
+generation measured 2.3 ms per angle on a 2-core Xeon VM (numpy 2.4,
+desk 5-degree grid), so 21,901 angles take about 50 s; training takes
+several hours on one core. All stages are seeded. The run is not
+resumable: it reuses only a complete dataset directory (manifest.json
+is written last), and an interrupted stage starts over.
 
 Run:  python3 demos/full_scale.py [workdir]
 """

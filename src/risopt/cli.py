@@ -156,6 +156,9 @@ def _geometry(args) -> RisGeometry:
     return RisGeometry(args.ris_m, args.ris_n, args.spacing, args.spacing, freq)
 
 
+_BINARY_ONLY = "--phase-states must be 2: the +1/-1 network encoding is binary-only"
+
+
 def _phase_table(args) -> tuple:
     if args.phase_states < 1:
         raise ValueError("--phase-states must be >= 1")
@@ -166,6 +169,8 @@ def cmd_generate(args) -> int:
     try:
         geom = _geometry(args)
         table = _phase_table(args)
+        if len(table) != 2:
+            raise ValueError(_BINARY_ONLY)
         tx = TxSpec(args.tx_dist)
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],
                            args.grid_el[0], args.grid_el[1], args.grid_step)
@@ -258,6 +263,8 @@ def cmd_optimize(args) -> int:
     try:
         geom = _geometry(args)
         table = _phase_table(args)
+        if args.method == "cnn" and len(table) != 2:
+            raise ValueError(_BINARY_ONLY)
         tx = TxSpec(args.tx_dist)
         rx = RxSpec(args.rx_dist, args.el, args.az)
     except ValueError as exc:

@@ -43,7 +43,7 @@ def power_db(magnitude: float) -> float:
         raise ValueError("magnitude must be >= 0")
     if magnitude == 0.0:
         return DB_FLOOR
-    return 20.0 * np.log10(magnitude)
+    return float(20.0 * np.log10(magnitude))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from risopt.physics import (
     ChannelMatrices,
     PhaseConfig,
     cascade_gain,
-    flip_delta,
     objective,
 )
 
@@ -97,8 +96,6 @@ def im_optimize(
     ch: ChannelMatrices,
     phase_table=DEFAULT_PHASE_TABLE,
     init: PhaseConfig | None = None,
-    *,
-    use_incremental: bool = True,
 ) -> tuple:
     """Element-wise greedy search: one raster pass, P trials per element.
 
@@ -109,8 +106,9 @@ def im_optimize(
     M*N*P steps and the final objective never falls below the objective
     of ``init`` (all-zero states when omitted).
 
-    ``use_incremental`` switches between O(1) single-element updates and
-    full recomputation per trial; both give the same committed states.
+    Each trial updates the running cascade sum in O(1) with the same
+    arithmetic as ``flip_delta``; the loop itself is plain Python scalars,
+    with ``h*g`` and the P x P phasor differences computed once up front.
     """
     table = _normalize_table(phase_table)
     n_rows, m_cols = ch.shape
@@ -120,25 +118,28 @@ def im_optimize(
         raise ValueError(f"init shape {init.shape} does not match channels {ch.shape}")
     if init.phase_table != table:
         raise ValueError("init phase_table differs from the requested table")
-    num_states = len(table)
 
-    cfg = init
-    current = cascade_gain(ch, cfg)
+    h, g = ch.h.ravel(), ch.g.ravel()
+    # real arithmetic: numpy's array complex multiply may round differently
+    hg = list(map(complex, (h.real * g.real - h.imag * g.imag).tolist(),
+                  (h.real * g.imag + h.imag * g.real).tolist()))
+    phasor = [np.exp(1j * np.deg2rad(v)) for v in table]
+    delta = [[complex(new - old) for old in phasor] for new in phasor]  # [new][old]
+    states = init.states.ravel().tolist()
+    current = cascade_gain(ch, init)
     best = abs(current)
     history = []
-    for row in range(n_rows):
-        for col in range(m_cols):
-            for state in range(num_states):
-                if use_incremental:
-                    cand_sum = flip_delta(ch, cfg, row, col, state, current)
-                else:
-                    cand_sum = cascade_gain(ch, cfg.with_state(row, col, state))
+    for k, hg_k in enumerate(hg):
+        committed = states[k]
+        for state, delta_state in enumerate(delta):
+            if state != committed:  # the committed state reproduces ``best``
+                cand_sum = current + hg_k * delta_state[committed]
                 cand = abs(cand_sum)
                 if cand > best:
-                    best = cand
-                    cfg = cfg.with_state(row, col, state)
-                    current = cand_sum
-                history.append(best)
+                    best, current, committed = cand, cand_sum, state
+            history.append(best)
+        states[k] = committed
+    cfg = PhaseConfig(np.reshape(states, ch.shape), table)
     trace = OptimizeTrace(len(history), np.array(history), best)
     return cfg, trace
 
@@ -147,8 +148,6 @@ def gim_optimize(
     ch: ChannelMatrices,
     phase_table=DEFAULT_PHASE_TABLE,
     orientation: str = "horizontal",
-    *,
-    use_incremental: bool = True,
 ) -> tuple:
     """Stripe-wise greedy search over rows (horizontal) or columns (vertical).
 
@@ -156,7 +155,8 @@ def gim_optimize(
     so the very first evaluation always registers.  For each stripe, each
     state is applied to the whole stripe with every other stripe held at
     its committed state; the stripe state is committed only on strict
-    improvement.  Steps: N*P (horizontal) or M*P (vertical).
+    improvement.  Steps: N*P (horizontal) or M*P (vertical).  Each trial
+    updates the running cascade sum in O(1) from the stripe's summed ``h*g``.
     """
     table = _normalize_table(phase_table)
     if orientation not in ORIENTATIONS:
@@ -177,18 +177,11 @@ def gim_optimize(
     for i in range(n_stripes):
         committed = int(stripe_states[i])
         for j in range(num_states):
-            if use_incremental:
-                if j == committed:
-                    cand_sum = current
-                else:
-                    cand_sum = current + complex(stripe_hg[i]) * (
-                        complex(phasor[j]) - complex(phasor[committed])
-                    )
+            if j == committed:
+                cand_sum = current
             else:
-                trial = stripe_states.copy()
-                trial[i] = j
-                cand_sum = cascade_gain(
-                    ch, StripeConfig(orientation, trial).expand(ch.shape, table)
+                cand_sum = current + complex(stripe_hg[i]) * (
+                    complex(phasor[j]) - complex(phasor[committed])
                 )
             cand = abs(cand_sum)
             if cand > best:

@@ -280,11 +280,6 @@ def compute_channels(
     return ChannelMatrices(h, g)
 
 
-def rx_path_loss(geom: RisGeometry, rx: RxSpec) -> float:
-    """Shared far-field amplitude path loss of the surface->Rx link."""
-    return geom.wavelength / (4 * np.pi * rx.distance)
-
-
 def scattered_field(
     geom: RisGeometry,
     illum: Illumination,

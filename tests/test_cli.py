@@ -6,7 +6,11 @@ codes, printed step counts, and file contents.
 """
 
 import json
+import os
+import re
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from risopt.tensorfile import load_tensors
 
 BASE = ["--ris-m", "8", "--ris-n", "8", "--freq-ghz", "10",
         "--tx-dist", "0.6", "--rx-dist", "4.0"]
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,16 @@ def test_generate_bad_phase_states(tmp_path):
     code = main(["generate", *BASE, "--phase-states", "0",
                  "--grid-step", "20", "--out", str(tmp_path / "d")])
     assert code == 2
+
+
+@pytest.mark.parametrize("states", ["1", "4"])
+def test_generate_non_binary_phase_states_fails_fast(tmp_path, capsys, states):
+    out = tmp_path / "d"
+    code = main(["generate", *BASE, "--phase-states", states,
+                 "--grid-step", "20", "--out", str(out)])
+    assert code == 2
+    assert "--phase-states" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_wrote_full_dataset(pipeline):
@@ -145,7 +161,9 @@ def test_optimize_im_step_count_and_config(pipeline, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "steps=128" in printed  # 8 * 8 * 2 trials
-    assert "objective_db=" in printed
+    objective_line = next(line for line in printed.splitlines()
+                          if line.startswith("objective_db="))
+    assert re.fullmatch(r"objective_db=-?[0-9.]+(e-?[0-9]+)?", objective_line)
     records = load_tensors(out)
     assert len(records) == 1
     assert records[0].shape == (8, 8)
@@ -165,6 +183,27 @@ def test_optimize_cnn_requires_weights(pipeline):
     code = main(["optimize", *BASE, "--method", "cnn", "--el", "0", "--az", "80",
                  "--config-out", str(pipeline["root"] / "void.rist")])
     assert code == 2
+
+
+def test_optimize_cnn_non_binary_phase_states_fails_fast(pipeline, capsys):
+    out = pipeline["root"] / "cnn4.rist"
+    code = main(["optimize", *BASE, "--phase-states", "4", "--method", "cnn",
+                 "--el", "0", "--az", "80", "--weights", str(pipeline["weights"]),
+                 "--config-out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--phase-states" in captured.err
+    assert "steps=" not in captured.out
+    assert not out.exists()
+
+
+def test_optimize_im_four_phase_states(pipeline, capsys):
+    out = pipeline["root"] / "im4.rist"
+    code = main(["optimize", *BASE, "--phase-states", "4", "--method", "im",
+                 "--el", "0", "--az", "80", "--config-out", str(out)])
+    assert code == 0
+    assert "steps=256" in capsys.readouterr().out  # 8 * 8 * 4 trials
+    assert set(np.unique(load_tensors(out)[0])) <= {0.0, 1.0, 2.0, 3.0}
 
 
 def test_optimize_cnn_uses_stripe_step_budget(pipeline, capsys):
@@ -212,7 +251,14 @@ def test_pattern_rejects_mismatched_geometry(pipeline, capsys):
 
 
 def test_console_script_help_runs():
-    proc = subprocess.run(["risopt", "--help"], capture_output=True, text=True)
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    # the [project.scripts] target is the function `python -m risopt` runs
+    pyproject = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"]["risopt"] == "risopt.cli:main"
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "risopt", "--help"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "generate" in proc.stdout
     assert "pattern" in proc.stdout

@@ -2,8 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from risopt import ChannelMatrices, PhaseConfig, objective
+from risopt import (
+    ChannelMatrices,
+    PhaseConfig,
+    RisGeometry,
+    RxSpec,
+    TxSpec,
+    cascade_gain,
+    compute_channels,
+    compute_illumination,
+    flip_delta,
+    objective,
+)
 from risopt.optimizers import (
     OptimizeTrace,
     StripeConfig,
@@ -49,6 +62,94 @@ def oracle_im(ch, table, init_states):
                     states = trial
                 history.append(best)
     return states, best, history
+
+
+def reference_im(ch, table, init, *, use_incremental):
+    """Element-wise search built from the public per-trial helpers.
+
+    Each trial either updates the running sum with ``flip_delta``
+    (``use_incremental``) or recomputes ``cascade_gain`` from scratch, and
+    every commit builds a new ``PhaseConfig``.  The incremental variant
+    does the arithmetic of ``im_optimize``'s scalar kernel, so the two must
+    agree bit for bit; the recompute variant agrees to rounding only, and
+    on exact ties (a 1x1 surface, where rotating every state keeps the
+    magnitude) it may commit a different state.
+    """
+    cfg = init
+    current = cascade_gain(ch, cfg)
+    best = abs(current)
+    history = []
+    n_rows, m_cols = ch.shape
+    for row in range(n_rows):
+        for col in range(m_cols):
+            for state in range(len(table)):
+                if use_incremental:
+                    cand_sum = flip_delta(ch, cfg, row, col, state, current)
+                else:
+                    cand_sum = cascade_gain(ch, cfg.with_state(row, col, state))
+                cand = abs(cand_sum)
+                if cand > best:
+                    best = cand
+                    cfg = cfg.with_state(row, col, state)
+                    current = cand_sum
+                history.append(best)
+    return cfg, OptimizeTrace(len(history), np.array(history), best)
+
+
+def reference_gim(ch, table, orientation, *, use_incremental):
+    """Stripe-wise search with either O(1) stripe updates or full recomputes.
+
+    The same tie caveat as ``reference_im`` applies to a single stripe.
+    """
+    n_rows, m_cols = ch.shape
+    n_stripes = n_rows if orientation == "horizontal" else m_cols
+    hg = ch.h * ch.g
+    stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
+    phasor = np.exp(1j * np.deg2rad(np.asarray(table)))
+    stripe_states = np.zeros(n_stripes, dtype=np.int64)
+    current = complex(hg.sum() * phasor[0])
+    best = -np.inf
+    history = []
+    for i in range(n_stripes):
+        committed = int(stripe_states[i])
+        for j in range(len(table)):
+            if not use_incremental:
+                trial = stripe_states.copy()
+                trial[i] = j
+                cand_sum = cascade_gain(
+                    ch, StripeConfig(orientation, trial).expand(ch.shape, table))
+            elif j == committed:
+                cand_sum = current
+            else:
+                cand_sum = current + complex(stripe_hg[i]) * (
+                    complex(phasor[j]) - complex(phasor[committed]))
+            cand = abs(cand_sum)
+            if cand > best:
+                best = cand
+                stripe_states[i] = j
+                committed = j
+                current = cand_sum
+            history.append(best)
+    return StripeConfig(orientation, stripe_states), OptimizeTrace(
+        len(history), np.array(history), best)
+
+
+def assert_bit_identical(got, want):
+    (cfg, trace), (want_cfg, want_trace) = got, want
+    np.testing.assert_array_equal(cfg.states, want_cfg.states)
+    assert trace.steps == want_trace.steps
+    assert (trace.best_objective_history.tobytes()
+            == want_trace.best_objective_history.tobytes())
+    assert (np.float64(trace.final_objective).tobytes()
+            == np.float64(want_trace.final_objective).tobytes())
+
+
+def assert_matches_recompute(got, want, ties_possible):
+    (cfg, trace), (want_cfg, want_trace) = got, want
+    if not ties_possible:
+        np.testing.assert_array_equal(cfg.states, want_cfg.states)
+    np.testing.assert_allclose(trace.best_objective_history,
+                               want_trace.best_objective_history, rtol=1e-9)
 
 
 def decode_states(enc, n_rows, m_cols, num_states):
@@ -140,8 +241,8 @@ def test_im_matches_greedy_oracle():
         ch = random_channels(rng, n_rows, m_cols)
         init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)), table)
         want_states, want_best, want_hist = oracle_im(ch, table, init.states)
-        for incremental in (True, False):
-            cfg, trace = im_optimize(ch, table, init, use_incremental=incremental)
+        for cfg, trace in (im_optimize(ch, table, init),
+                           reference_im(ch, table, init, use_incremental=False)):
             np.testing.assert_array_equal(cfg.states, want_states)
             assert trace.final_objective == pytest.approx(want_best, rel=1e-9)
             np.testing.assert_allclose(trace.best_objective_history, want_hist,
@@ -264,9 +365,9 @@ def test_gim_matches_stripe_oracle():
                         best = val
                         states = trial
 
-            for incremental in (True, False):
-                stripe, trace = gim_optimize(ch, table, orientation,
-                                             use_incremental=incremental)
+            for stripe, trace in (
+                    gim_optimize(ch, table, orientation),
+                    reference_gim(ch, table, orientation, use_incremental=False)):
                 np.testing.assert_array_equal(stripe.states, states)
                 assert trace.final_objective == pytest.approx(best, rel=1e-9)
 
@@ -417,14 +518,68 @@ def test_incremental_and_recompute_commit_identically():
         n_rows = int(rng.integers(2, 9))
         m_cols = int(rng.integers(2, 9))
         ch = random_channels(rng, n_rows, m_cols)
-        cfg_a, tr_a = im_optimize(ch, use_incremental=True)
-        cfg_b, tr_b = im_optimize(ch, use_incremental=False)
-        np.testing.assert_array_equal(cfg_a.states, cfg_b.states)
-        np.testing.assert_allclose(tr_a.best_objective_history,
-                                   tr_b.best_objective_history, rtol=1e-9)
+        table = (0.0, 180.0)
+        zeros = PhaseConfig.zeros(n_rows, m_cols)
+        got = im_optimize(ch)
+        assert_bit_identical(got, reference_im(ch, table, zeros, use_incremental=True))
+        assert_matches_recompute(
+            got, reference_im(ch, table, zeros, use_incremental=False),
+            ties_possible=False)
         for orientation in ("horizontal", "vertical"):
-            s_a, g_a = gim_optimize(ch, orientation=orientation, use_incremental=True)
-            s_b, g_b = gim_optimize(ch, orientation=orientation, use_incremental=False)
-            np.testing.assert_array_equal(s_a.states, s_b.states)
-            np.testing.assert_allclose(g_a.best_objective_history,
-                                       g_b.best_objective_history, rtol=1e-9)
+            got = gim_optimize(ch, orientation=orientation)
+            assert_bit_identical(
+                got, reference_gim(ch, table, orientation, use_incremental=True))
+            assert_matches_recompute(
+                got, reference_gim(ch, table, orientation, use_incremental=False),
+                ties_possible=False)
+
+
+def test_im_bit_identical_to_reference_on_desk_channels():
+    geom = RisGeometry.half_wavelength(40, 40, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0))
+    zeros = PhaseConfig.zeros(40, 40)
+    for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
+        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
+        assert_bit_identical(im_optimize(ch),
+                             reference_im(ch, (0.0, 180.0), zeros, use_incremental=True))
+
+
+@st.composite
+def greedy_instances(draw):
+    """Seeded Gaussian channel, distinct random phase table, optional init."""
+    n_rows = draw(st.integers(1, 6))
+    m_cols = draw(st.integers(1, 6))
+    num_states = draw(st.integers(1, 4))
+    # a 0.1 degree grid keeps distinct entries from rounding into near-ties
+    tenths = draw(st.lists(st.integers(0, 3599), min_size=num_states,
+                           max_size=num_states, unique=True))
+    table = tuple(t / 10 for t in tenths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = random_channels(rng, n_rows, m_cols)
+    init = None
+    if draw(st.booleans()):
+        init = PhaseConfig(rng.integers(0, num_states, (n_rows, m_cols)), table)
+    return ch, table, init
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_instances())
+def test_im_property_matches_reference_searches(instance):
+    ch, table, init = instance
+    start = init if init is not None else PhaseConfig.zeros(*ch.shape, table)
+    got = im_optimize(ch, table, init)
+    assert_bit_identical(got, reference_im(ch, table, start, use_incremental=True))
+    assert_matches_recompute(got, reference_im(ch, table, start, use_incremental=False),
+                             ties_possible=ch.h.size == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_instances(), st.sampled_from(("horizontal", "vertical")))
+def test_gim_property_matches_reference_searches(instance, orientation):
+    ch, table, _ = instance
+    n_stripes = ch.shape[0] if orientation == "horizontal" else ch.shape[1]
+    got = gim_optimize(ch, table, orientation)
+    assert_bit_identical(got, reference_gim(ch, table, orientation, use_incremental=True))
+    assert_matches_recompute(
+        got, reference_gim(ch, table, orientation, use_incremental=False),
+        ties_possible=n_stripes == 1)
