@@ -307,6 +307,9 @@ def cmd_pattern(args) -> int:
     if len(records) != 1 or records[0].ndim != 2:
         raise ValueError(f"{args.config} must hold a single 2-D config record")
     states = records[0].astype(np.int64)
+    if states.max() >= len(table):
+        return _usage(f"config holds phase state {states.max()}, but --phase-states is "
+                      f"{len(table)}; pass the --phase-states it was written with")
     cfg = PhaseConfig(states, table)
     if cfg.shape != (geom.n_rows, geom.m_cols):
         raise ValueError(f"config shape {cfg.shape} does not match geometry "

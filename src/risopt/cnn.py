@@ -8,11 +8,17 @@ architecture: channel chain 2 -> 4 -> 16 -> 32 -> 128 -> 64 -> 8 -> 4
 a bias and tanh on every conv layer, and rate-0.2 inverted dropout after
 the third and sixth conv layers.
 
-Everything runs in float64 so gradients can be checked against central
-finite differences at tight tolerance.  Tensors are laid out
-(height, width, channels); kernels are (kh, kw, in_channels,
-out_channels).  No autograd: the backward pass is written out
-layer by layer.
+Every pass runs in the dtype of the model's parameters, float64 by
+default so gradients can be checked against central finite differences.
+Tensors are (height, width, channels), kernels (kh, kw, in_channels,
+out_channels).  No autograd: the backward pass is written out by hand.
+
+Convolution is a shifted-slab GEMM (low-memory GEMM convolution): the
+padded input, flattened to (rows * Wp, cin) with ``Wp = W + kw - 1``,
+gives one contiguous slab view per kernel offset, starting at row
+``dy * Wp + dx``.  Each offset is one GEMM accumulated in place, with no
+im2col copy; the ``Wp - W`` wrap columns are cropped.  The backward pass
+uses the same slabs for ``dW`` and the input gradient.
 """
 
 from __future__ import annotations
@@ -87,11 +93,7 @@ class Model:
                    for l in self.conv_layers())
 
     def parameters(self) -> list:
-        params = []
-        for layer in self.conv_layers():
-            params.append(layer.weights)
-            params.append(layer.bias)
-        return params
+        return [p for layer in self.conv_layers() for p in (layer.weights, layer.bias)]
 
     def set_parameters(self, params) -> None:
         convs = self.conv_layers()
@@ -129,7 +131,7 @@ def make_model(
 
     Every forward/backward pass runs in ``dtype``; float64 is the
     default so finite-difference gradient checks stay meaningful, while
-    float32 roughly halves training time for large runs.
+    float32 trains a 40x40 image in under half the time.
     """
     if len(channels) != len(kernels) + 1:
         raise ValueError("need one more channel count than kernel sizes")
@@ -149,30 +151,40 @@ def make_model(
 
 # ------------------------------------------------------------------ conv core
 
-def _im2col(x: np.ndarray, kh: int, kw: int):
-    """Padded sliding windows of x flattened to (H*W, cin*kh*kw)."""
-    h, w, cin = x.shape
-    xp = np.pad(x, (((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    return win.reshape(h * w, cin * kh * kw)
-
-
-def conv2d_same(x: np.ndarray, kernel: np.ndarray, bias=None) -> np.ndarray:
-    """2-D convolution over all input channels, same padding, stride 1.
-
-    Cross-correlation orientation (no kernel flip), the usual neural-net
-    convention.
-    """
-    kh, kw, cin, cout = kernel.shape
-    if x.ndim != 3 or x.shape[2] != cin:
-        raise ValueError(f"input shape {x.shape} does not feed a {kernel.shape} kernel")
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """Shifted-slab same conv of (H, W, cin) ``x``: (H, W, cout) pre-activation
+    and the flat padded input that :func:`_conv_backward` needs."""
+    kh, kw, cin, cout = weights.shape
     h, w, _ = x.shape
-    cols = _im2col(x, kh, kw)
-    kmat = kernel.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
-    out = cols @ kmat
-    if bias is not None:
-        out += bias
-    return out.reshape(h, w, cout)
+    wp, n = w + kw - 1, h * (w + kw - 1)
+    # the extra bottom row keeps the last offset's slab in bounds
+    xp = np.pad(x, (((kh - 1) // 2, kh // 2 + 1), ((kw - 1) // 2, kw // 2), (0, 0)))
+    xp = xp.reshape(-1, cin)
+    z = np.full((n, cout), bias, dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            off = dy * wp + dx
+            z += xp[off:off + n] @ weights[dy, dx]
+    return z.reshape(h, wp, cout)[:, :w], xp
+
+
+def _conv_backward(xp: np.ndarray, weights: np.ndarray, dz: np.ndarray):
+    """Gradients (dW, db, dx) of :func:`_conv_forward` given dL/dz (H, W, cout)."""
+    kh, kw, cin, cout = weights.shape
+    h, w, _ = dz.shape
+    wp, n = w + kw - 1, h * (w + kw - 1)
+    # the wrap columns were cropped in the forward pass: their gradient is zero
+    dzp = np.pad(dz, ((0, 0), (0, kw - 1), (0, 0))).reshape(n, cout)
+    dw = np.empty_like(weights)
+    dxp = np.zeros_like(xp)
+    for dy in range(kh):
+        for dx in range(kw):
+            off = dy * wp + dx
+            dw[dy, dx] = xp[off:off + n].T @ dzp
+            dxp[off:off + n] += dzp @ weights[dy, dx].T
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    dx = dxp.reshape(-1, wp, cin)[top:top + h, left:left + w]
+    return dw, dz.reshape(-1, cout).sum(axis=0), dx
 
 
 def _forward_pass(model: Model, x: np.ndarray, mode: str, rng):
@@ -181,21 +193,16 @@ def _forward_pass(model: Model, x: np.ndarray, mode: str, rng):
     a = x
     for layer in model.layers:
         if isinstance(layer, ConvLayer):
-            kh, kw, cin, cout = layer.weights.shape
-            cols = _im2col(a, kh, kw)
-            kmat = layer.weights.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
-            z = cols @ kmat + layer.bias
-            out = np.tanh(z.reshape(a.shape[0], a.shape[1], cout))
-            caches.append(("conv", layer, cols, out))
-            a = out
+            z, xp = _conv_forward(a, layer.weights, layer.bias)
+            a = np.tanh(z)
+            caches.append(("conv", layer, xp, a))
+        elif mode == "train" and layer.rate > 0.0:
+            keep = rng.random(a.shape) >= layer.rate
+            scale = 1.0 / (1.0 - layer.rate)
+            a = a * keep * scale
+            caches.append(("drop", keep, scale))
         else:
-            if mode == "train" and layer.rate > 0.0:
-                keep = rng.random(a.shape) >= layer.rate
-                scale = 1.0 / (1.0 - layer.rate)
-                a = a * keep * scale
-                caches.append(("drop", keep, scale))
-            else:
-                caches.append(("drop", None, 1.0))
+            caches.append(("drop", None, 1.0))
     return a, caches
 
 
@@ -252,17 +259,9 @@ def _loss_and_grads(model: Model, x: np.ndarray, target: np.ndarray, mode: str, 
     grads = []
     for cache in reversed(caches):
         if cache[0] == "conv":
-            _, layer, cols, act = cache
-            kh, kw, cin, cout = layer.weights.shape
-            h, w, _ = act.shape
-            dz = (da * (1.0 - act * act)).reshape(h * w, cout)
-            db = dz.sum(axis=0)
-            dw = (cols.T @ dz).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
-            grads.append(db)
-            grads.append(dw)
-            # propagate through the conv: convolve dz with the flipped kernel
-            back_kernel = np.flip(layer.weights, axis=(0, 1)).transpose(0, 1, 3, 2)
-            da = conv2d_same(dz.reshape(h, w, cout), back_kernel)
+            _, layer, xp, act = cache
+            dw, db, da = _conv_backward(xp, layer.weights, da * (1.0 - act * act))
+            grads += [db, dw]
         else:
             _, keep, scale = cache
             if keep is not None:
@@ -347,6 +346,8 @@ def _as_dataset(name, data, dtype):
         raise ValueError(f"{name} set is empty")
     if inputs.ndim != 4 or targets.ndim != 3 or len(inputs) != len(targets):
         raise ValueError(f"{name} set must be (N, H, W, C) inputs with (N, H, W) targets")
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise ValueError(f"{name} set holds NaN or infinite values")
     return inputs, targets
 
 
@@ -404,6 +405,9 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig) -> tuple:
             mse_loss(model_forward(model, val_x[i], "eval"), val_y[i])
             for i in range(len(val_x))
         ])
+        if not np.isfinite([train_loss, val_loss]).all():
+            raise ValueError(f"epoch {epoch}: loss is not finite "
+                             f"(train {train_loss}, val {val_loss})")
         history.append((epoch, float(train_loss), float(val_loss)))
 
         if val_loss < best_val:
@@ -457,11 +461,7 @@ def predict_config(model: Model, h_cfg: StripeConfig, v_cfg: StripeConfig) -> Ph
 
 def save_model(path, model: Model) -> None:
     """Write conv weights and biases as alternating float32 tensor records."""
-    tensors = []
-    for layer in model.conv_layers():
-        tensors.append(layer.weights)
-        tensors.append(layer.bias)
-    save_tensors(path, tensors)
+    save_tensors(path, model.parameters())
 
 
 def load_model(path, dropout_after=DEFAULT_DROPOUT_AFTER,

@@ -62,6 +62,12 @@ class AngularGrid:
             raise ValueError("azimuth range is empty")
         if self.elevation_stop < self.elevation_start:
             raise ValueError("elevation range is empty")
+        # checked on the grid points themselves, as RxSpec will see them
+        el, az = self.elevation_values(), self.azimuth_values()
+        if not (-90.0 <= el[0] and el[-1] <= 90.0):
+            raise ValueError(f"grid elevation {el[0]}..{el[-1]} must lie in [-90, 90] degrees")
+        if not (0.0 <= az[0] and az[-1] < 360.0):
+            raise ValueError(f"grid azimuth {az[0]}..{az[-1]} must lie in [0, 360) degrees")
 
     def azimuth_values(self) -> np.ndarray:
         n = int(math.floor((self.azimuth_stop - self.azimuth_start) / self.step_deg + 1e-9)) + 1

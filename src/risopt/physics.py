@@ -119,6 +119,10 @@ class RxSpec:
     def __post_init__(self):
         if self.distance <= 0:
             raise ValueError("rx distance must be > 0")
+        if not -90.0 <= self.elevation_deg <= 90.0:
+            raise ValueError(f"rx elevation {self.elevation_deg} must lie in [-90, 90] degrees")
+        if not 0.0 <= self.azimuth_deg < 360.0:
+            raise ValueError(f"rx azimuth {self.azimuth_deg} must lie in [0, 360) degrees")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,16 @@ def test_generate_non_binary_phase_states_fails_fast(tmp_path, capsys, states):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, angle", [
+    (["--grid-el=-60,100"], "elevation"), (["--grid-az", "0,400"], "azimuth")])
+def test_generate_out_of_range_grid_fails_fast(tmp_path, capsys, grid, angle):
+    out = tmp_path / "d"
+    code = main(["generate", *BASE, *grid, "--grid-step", "20", "--out", str(out)])
+    assert code == 2
+    assert f"grid {angle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_wrote_full_dataset(pipeline):
     manifest = load_manifest(pipeline["dataset"])
     assert manifest.counts == {"total": 9, "train": 7, "val": 1, "test": 1}
@@ -197,6 +207,16 @@ def test_optimize_cnn_non_binary_phase_states_fails_fast(pipeline, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("el, az, angle", [("95", "80", "elevation"), ("20", "400", "azimuth")])
+def test_optimize_out_of_range_angle_is_usage_error(pipeline, capsys, el, az, angle):
+    out = pipeline["root"] / "bad_angle.rist"
+    code = main(["optimize", *BASE, "--method", "gim", "--el", el, "--az", az,
+                 "--config-out", str(out)])
+    assert code == 2
+    assert f"rx {angle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_im_four_phase_states(pipeline, capsys):
     out = pipeline["root"] / "im4.rist"
     code = main(["optimize", *BASE, "--phase-states", "4", "--method", "im",
@@ -248,6 +268,32 @@ def test_pattern_rejects_mismatched_geometry(pipeline, capsys):
                  "--out", str(pipeline["root"] / "bad.csv")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_pattern_phase_states_mismatch_is_usage_error(pipeline, capsys):
+    config = pipeline["root"] / "im3.rist"
+    assert main(["optimize", *BASE, "--phase-states", "3", "--method", "im",
+                 "--el", "20", "--az", "80", "--config-out", str(config)]) == 0
+    assert load_tensors(config)[0].max() == 2.0
+    capsys.readouterr()
+    out = pipeline["root"] / "im3.csv"
+    code = main(["pattern", *BASE, "--config", str(config), "--step", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--phase-states" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["pattern", *BASE, "--phase-states", "3", "--config", str(config),
+                 "--step", "20", "--out", str(out)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_train_stops_on_non_finite_loss(pipeline, tmp_path, capsys):
+    weights = tmp_path / "nan.rist"
+    code = main(["train", *BASE, "--data", str(pipeline["dataset"]), "--lr", "1e308",
+                 "--max-epochs", "2", "--weights-out", str(weights)])
+    assert code == 1
+    assert "epoch 1: loss is not finite" in capsys.readouterr().err
+    assert not weights.exists()
 
 
 def test_console_script_help_runs():

@@ -10,7 +10,6 @@ from risopt.cnn import (
     Model,
     TrainConfig,
     adam_step,
-    conv2d_same,
     load_model,
     make_model,
     model_backward,
@@ -28,7 +27,7 @@ from risopt.optimizers import StripeConfig
 # ---------------------------------------------------------------- oracles
 
 def naive_conv_same(x, kernel, bias):
-    """Direct convolution: loop over output positions, no im2col."""
+    """Direct convolution: loop over output positions, one window at a time."""
     kh, kw, cin, cout = kernel.shape
     h, w, _ = x.shape
     xp = np.pad(x, (((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0)))
@@ -48,6 +47,12 @@ def naive_forward_eval(model, x):
             a = np.tanh(naive_conv_same(a, layer.weights, layer.bias))
         # dropout is identity in eval mode
     return a[:, :, 0] if a.shape[2] == 1 else a
+
+
+def one_layer_forward(x, kernel, bias):
+    """Eval-mode output of a single conv layer, kept (H, W, cout)."""
+    out = model_forward(Model([ConvLayer(kernel, bias)]), x)
+    return out.reshape(x.shape[0], x.shape[1], -1)
 
 
 def finite_difference_grads(model, x, target, h=1e-5):
@@ -77,21 +82,29 @@ def test_conv_matches_naive_oracle():
         (5, 5, 3, 2, 8, 7),
         (1, 1, 4, 4, 5, 5),
         (3, 5, 2, 1, 9, 6),
+        # every small size on non-square inputs; even sizes pad one more
+        # row/column after than before
+        (1, 1, 3, 2, 7, 5),
+        (2, 2, 3, 2, 5, 9),
+        (2, 3, 3, 2, 7, 5),
+        (3, 2, 3, 2, 5, 9),
+        (4, 4, 3, 2, 7, 5),
+        (5, 5, 3, 2, 5, 9),
     ]:
         x = rng.standard_normal((h, w, cin))
         k = rng.standard_normal((kh, kw, cin, cout))
         b = rng.standard_normal(cout)
-        got = conv2d_same(x, k, b)
-        want = naive_conv_same(x, k, b)
+        got = one_layer_forward(x, k, b)
+        want = np.tanh(naive_conv_same(x, k, b))
         assert got.shape == (h, w, cout)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_conv_shape_validation():
     rng = np.random.default_rng(8)
+    model = Model([ConvLayer(rng.standard_normal((3, 3, 2, 4)), np.zeros(4))])
     with pytest.raises(ValueError):
-        conv2d_same(rng.standard_normal((6, 6, 3)),
-                    rng.standard_normal((3, 3, 2, 4)))
+        model_forward(model, rng.standard_normal((6, 6, 3)))
 
 
 # ---------------------------------------------------------------- model/forward
@@ -195,9 +208,10 @@ def test_mse_shape_mismatch():
 
 # ---------------------------------------------------------------- gradients
 
-def test_gradients_match_finite_differences():
+def worst_fd_error(kernels):
+    """Worst relative error of the analytic gradients of a 2-layer model."""
     rng = np.random.default_rng(14)
-    model = make_model(15, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(15, channels=(2, 3, 1), kernels=kernels, dropout_after=())
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
     analytic = model_backward(model, x, target, mode="eval")
@@ -207,7 +221,18 @@ def test_gradients_match_finite_differences():
         rel = np.abs(a - f) / np.maximum.reduce([np.abs(a), np.abs(f),
                                                  np.full_like(a, 1e-6)])
         worst = max(worst, float(rel.max()))
-    assert worst < 1e-4
+    return worst
+
+
+def test_gradients_match_finite_differences():
+    assert worst_fd_error((3, 3)) < 1e-4
+
+
+@pytest.mark.parametrize("kernels", [(3, 2), (2, 4)])
+def test_even_kernel_gradients_match_finite_differences(kernels):
+    # an even kernel pads asymmetrically, and every layer after the first
+    # has to send its input gradient back through that padding
+    assert worst_fd_error(kernels) < 1e-4
 
 
 def test_gradients_with_dropout_match_masked_finite_differences():
@@ -416,6 +441,29 @@ def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
         train(model, (np.zeros((0, 6, 6, 2)), np.zeros((0, 6, 6))),
               (np.zeros((1, 6, 6, 2)), np.zeros((1, 6, 6))), cfg)
+
+
+@pytest.mark.parametrize("bad", ["train_x", "train_y", "val_x", "val_y"])
+def test_train_rejects_non_finite_data(bad):
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    arrays = {"train_x": np.zeros((2, 6, 6, 2)), "train_y": np.zeros((2, 6, 6)),
+              "val_x": np.zeros((1, 6, 6, 2)), "val_y": np.zeros((1, 6, 6))}
+    arrays[bad][-1, 2, 3] = np.nan if bad.endswith("x") else np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        train(model, (arrays["train_x"], arrays["train_y"]),
+              (arrays["val_x"], arrays["val_y"]), TrainConfig(max_epochs=1))
+
+
+def test_train_stops_on_non_finite_loss():
+    # a step this large overflows the float32 weights within the first epoch
+    rng = np.random.default_rng(22)
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(),
+                       dtype=np.float32)
+    x = rng.standard_normal((3, 6, 6, 2))
+    y = np.sign(rng.standard_normal((3, 6, 6)))
+    cfg = TrainConfig(batch_size=1, max_epochs=5, lr=1e38)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1: loss is not finite"):
+        train(model, (x, y), (x, y), cfg)
 
 
 def test_train_config_validation():

@@ -73,6 +73,12 @@ def test_grid_validation():
         AngularGrid(azimuth_start=10.0, azimuth_stop=5.0)
     with pytest.raises(ValueError):
         AngularGrid(elevation_start=10.0, elevation_stop=5.0)
+    # out-of-range angles fail at construction, before any sample is generated
+    for bad in [dict(elevation_stop=95.0), dict(elevation_start=-91.0),
+                dict(azimuth_start=-5.0), dict(azimuth_stop=360.0)]:
+        with pytest.raises(ValueError, match="grid (elevation|azimuth)"):
+            AngularGrid(**bad)
+    assert AngularGrid(0.0, 360.0, -90.0, 90.0, 7.0).azimuth_values()[-1] == 357.0
 
 
 def test_single_point_grid():

@@ -154,6 +154,11 @@ def test_tx_rx_validation():
         TxSpec(1.0, azimuth_deg=360.0)
     with pytest.raises(ValueError):
         RxSpec(-1.0)
+    for el, az in [(95.0, 0.0), (-90.5, 0.0), (0.0, 400.0), (0.0, 360.0), (0.0, -1.0)]:
+        with pytest.raises(ValueError, match="rx (elevation|azimuth)"):
+            RxSpec(10.0, el, az)
+    for el, az in [(90.0, 0.0), (-90.0, 359.9)]:  # closed elevation ends
+        assert RxSpec(10.0, el, az).elevation_deg == el
 
 
 def test_direction_unit_matches_oracle():
