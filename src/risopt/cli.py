@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,16 @@ def _triple(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--ris-m", type=int, default=40,
@@ -108,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[shared],
                        help="train the prediction network on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_finite, default=1e-3,
+                   help="ADAM learning rate, finite and >= 0 (default 1e-3)")
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=500)
     p.add_argument("--patience", type=int, default=10)
@@ -137,7 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", parents=[shared],
                        help="export the radiation pattern of a saved config")
-    p.add_argument("--config", required=True, help="config tensor file")
+    p.add_argument("--config", required=True,
+                   help="config tensor file; it stores state indices but no "
+                        "phase table, so --phase-states must match the one the "
+                        "config was written with")
     p.add_argument("--step", type=float, default=1.0, help="grid step in degrees")
     p.add_argument("--out", required=True, help="pattern CSV to write")
     p.set_defaults(func=cmd_pattern)
@@ -294,6 +309,17 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def pattern_csv(pat) -> str:
+    """CSV text of a pattern: one ``elevation_deg,azimuth_deg,power_db`` row per
+    grid point, elevation-major, every value written with ``repr``."""
+    azimuths = [f",{az!r}," for az in pat.azimuths.tolist()]
+    lines = ["elevation_deg,azimuth_deg,power_db"]
+    for el, row in zip(pat.elevations.tolist(), pat.power_db.tolist()):
+        el_text = repr(el)
+        lines += [el_text + az + repr(p) for az, p in zip(azimuths, row)]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_pattern(args) -> int:
     try:
         geom = _geometry(args)
@@ -318,13 +344,9 @@ def cmd_pattern(args) -> int:
     illum = compute_illumination(geom, tx)
     pat = radiation_pattern(geom, illum, cfg,
                             grid.elevation_values(), grid.azimuth_values())
-    lines = ["elevation_deg,azimuth_deg,power_db"]
-    for i, el in enumerate(pat.elevations):
-        for j, az in enumerate(pat.azimuths):
-            lines.append(f"{float(el)!r},{float(az)!r},{float(pat.power_db[i, j])!r}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text(pattern_csv(pat), encoding="utf-8")
     print(f"rows={pat.power_db.size}")
     print(f"pattern={out}")
     return 0

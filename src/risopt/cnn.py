@@ -334,8 +334,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 def _as_dataset(name, data, dtype):

@@ -56,8 +56,12 @@ class AngularGrid:
     step_deg: float = 1.0
 
     def __post_init__(self):
-        if self.step_deg <= 0:
-            raise ValueError("grid step must be > 0")
+        if not (math.isfinite(self.step_deg) and self.step_deg > 0):
+            raise ValueError(f"grid step must be finite and > 0, got {self.step_deg}")
+        ends = (self.azimuth_start, self.azimuth_stop, self.elevation_start, self.elevation_stop)
+        if not all(math.isfinite(v) for v in ends):
+            raise ValueError(f"grid ranges must be finite, got azimuth {ends[0]}..{ends[1]}, "
+                             f"elevation {ends[2]}..{ends[3]}")
         if self.azimuth_stop < self.azimuth_start:
             raise ValueError("azimuth range is empty")
         if self.elevation_stop < self.elevation_start:

@@ -305,6 +305,16 @@ def scattered_field(
     return complex(np.cos(np.deg2rad(elevation_deg)) * terms.sum())
 
 
+_PATTERN_BLOCK = 512  # directions per GEMM block; keeps the ramps in cache
+
+
+def _fill_ramp(out: np.ndarray, step: np.ndarray) -> None:
+    """Write ``step ** k`` into row k of ``out`` by repeated multiplication."""
+    out[0] = 1.0
+    for k in range(1, len(out)):
+        np.multiply(out[k - 1], step, out=out[k])
+
+
 def radiation_pattern(
     geom: RisGeometry,
     illum: Illumination,
@@ -314,9 +324,19 @@ def radiation_pattern(
 ) -> PatternGrid:
     """Scattered field over an elevation x azimuth grid.
 
-    Equivalent to evaluating :func:`scattered_field` at every grid point;
-    the per-direction steering factor is separable in rows and columns,
-    which the grid evaluation exploits.
+    Equivalent to evaluating :func:`scattered_field` at every grid point.
+    The steering factor of a direction is separable in rows and columns,
+    and along each lattice axis it is a geometric series: column m carries
+    ``exp(j k0 dx u) ** m`` and row n ``exp(j k0 dy v) ** n``.  So each
+    direction costs two complex ``exp`` calls, and the (M, B) and (N, B)
+    ramps of a block of B directions are built by repeated multiplication
+    into buffers reused across blocks.  The field of a block is one GEMM,
+    ``weights @ column_ramp``, followed by a row-dot with the row ramp;
+    blocks of :data:`_PATTERN_BLOCK` directions keep that working set in
+    cache.  Each multiplication rounds once, so power k of a ramp can
+    differ from the directly computed exponential by about k rounding
+    errors; against :func:`scattered_field` that stays within 1e-12
+    relative per point on the tested surfaces, up to 96x128.
     """
     elevations = np.atleast_1d(np.asarray(elevations, dtype=float))
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
@@ -328,14 +348,22 @@ def radiation_pattern(
 
     t = np.deg2rad(elevations)[:, np.newaxis]
     p = np.deg2rad(azimuths)[np.newaxis, :]
-    u = np.sin(t) * np.cos(p)  # (E, A)
-    v = np.sin(t) * np.sin(p)
-    m = np.arange(geom.m_cols)
-    n = np.arange(geom.n_rows)
-    ex = np.exp(1j * geom.k0 * geom.dx * u[..., np.newaxis] * m)  # (E, A, M)
-    ey = np.exp(1j * geom.k0 * geom.dy * v[..., np.newaxis] * n)  # (E, A, N)
-    field = np.einsum("ean,nm,eam->ea", ey, weights, ex, optimize=True)
-    field *= np.cos(t)
+    sin_t = np.sin(t)
+    step_x = np.exp(1j * geom.k0 * geom.dx * (sin_t * np.cos(p))).ravel()
+    step_y = np.exp(1j * geom.k0 * geom.dy * (sin_t * np.sin(p))).ravel()
+    field = np.empty(step_x.size, dtype=complex)
+    width = min(_PATTERN_BLOCK, field.size)
+    ex = np.empty((geom.m_cols, width), dtype=complex)
+    ey = np.empty((geom.n_rows, width), dtype=complex)
+    for start in range(0, field.size, width):
+        stop = min(start + width, field.size)
+        bx, by = ex[:, :stop - start], ey[:, :stop - start]
+        _fill_ramp(bx, step_x[start:stop])
+        _fill_ramp(by, step_y[start:stop])
+        rows = weights @ bx  # (N, B): each row summed over its columns
+        rows *= by
+        field[start:stop] = rows.sum(axis=0)
+    field = field.reshape(elevations.size, azimuths.size) * np.cos(t)
 
     mag = np.abs(field)
     with np.errstate(divide="ignore"):

@@ -15,10 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risopt.cli import main
+from risopt.cli import main, pattern_csv
 from risopt.cnn import load_model
-from risopt.data import load_manifest, load_splits
+from risopt.data import AngularGrid, load_manifest, load_splits
 from risopt.evaluate import load_report_csv
+from risopt.physics import (
+    PatternGrid,
+    PhaseConfig,
+    RisGeometry,
+    TxSpec,
+    compute_illumination,
+    radiation_pattern,
+)
 from risopt.tensorfile import load_tensors
 
 BASE = ["--ris-m", "8", "--ris-n", "8", "--freq-ghz", "10",
@@ -284,6 +292,59 @@ def test_pattern_phase_states_mismatch_is_usage_error(pipeline, capsys):
     assert not out.exists()
     assert main(["pattern", *BASE, "--phase-states", "3", "--config", str(config),
                  "--step", "20", "--out", str(out)]) == 0
+
+
+def test_pattern_csv_bytes_match_fstring_loop(pipeline):
+    # the writer the list-based pattern_csv replaced, kept as its oracle
+    def fstring_loop(pat):
+        lines = ["elevation_deg,azimuth_deg,power_db"]
+        for i, el in enumerate(pat.elevations):
+            for j, az in enumerate(pat.azimuths):
+                lines.append(f"{float(el)!r},{float(az)!r},{float(pat.power_db[i, j])!r}")
+        return "\n".join(lines) + "\n"
+
+    geom = RisGeometry.half_wavelength(8, 8, 10e9)
+    illum = compute_illumination(geom, TxSpec(0.6))
+    cfg = PhaseConfig(load_tensors(pipeline["config"])[0].astype(np.int64))
+    grid = AngularGrid(step_deg=0.7)  # non-terminating decimals on both axes
+    pat = radiation_pattern(geom, illum, cfg, grid.elevation_values(), grid.azimuth_values())
+    assert pattern_csv(pat) == fstring_loop(pat)
+
+    edge = np.array([[-300.0, -0.0, 5e-324], [1e300, float("nan"), -float("inf")]])
+    odd = PatternGrid(np.array([-0.0, 1 / 3]), np.array([0.1, 2.0, 359.99]),
+                      np.zeros((2, 3), dtype=complex), edge)
+    assert pattern_csv(odd).encode() == fstring_loop(odd).encode()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_lr_is_usage_error(tmp_path, capsys, lr):
+    # the dataset does not exist: exit 2 shows --lr was checked before any load
+    weights = tmp_path / "w.rist"
+    with pytest.raises(SystemExit) as err:
+        main(["train", *BASE, "--data", str(tmp_path / "missing"), "--lr", lr,
+              "--weights-out", str(weights)])
+    assert err.value.code == 2
+    assert "--lr" in capsys.readouterr().err
+    assert not weights.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_pattern_non_finite_step_is_usage_error(pipeline, capsys, step):
+    out = pipeline["root"] / "step.csv"
+    code = main(["pattern", *BASE, "--config", str(pipeline["config"]),
+                 "--step", step, "--out", str(out)])
+    assert code == 2
+    assert "grid step must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_generate_non_finite_grid_step_is_usage_error(tmp_path, capsys, step):
+    out = tmp_path / "d"
+    code = main(["generate", *BASE, "--grid-step", step, "--out", str(out)])
+    assert code == 2
+    assert "grid step must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

@@ -473,6 +473,9 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
+    for lr in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            TrainConfig(lr=lr)
 
 
 # ---------------------------------------------------------------- prediction

@@ -69,6 +69,13 @@ def test_grid_points_azimuth_major():
 def test_grid_validation():
     with pytest.raises(ValueError):
         AngularGrid(step_deg=0.0)
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grid step must be finite"):
+            AngularGrid(step_deg=step)
+    for ends in ((float("nan"), 5.0, 0.0, 5.0), (0.0, float("inf"), 0.0, 5.0),
+                 (0.0, 5.0, float("-inf"), 5.0)):
+        with pytest.raises(ValueError, match="grid ranges must be finite"):
+            AngularGrid(*ends, 1.0)
     with pytest.raises(ValueError):
         AngularGrid(azimuth_start=10.0, azimuth_stop=5.0)
     with pytest.raises(ValueError):

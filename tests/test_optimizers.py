@@ -432,6 +432,19 @@ def test_combine_checkerboard_is_elementwise_xor():
     np.testing.assert_array_equal(combine_stripes(v, h).states, full.states)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=12),
+       st.lists(st.integers(0, 1), min_size=1, max_size=12))
+def test_combine_property_is_xor_of_expanded_stripes(h_bits, v_bits):
+    h = StripeConfig("horizontal", np.array(h_bits))
+    v = StripeConfig("vertical", np.array(v_bits))
+    shape = (len(h_bits), len(v_bits))
+    want = h.expand(shape).states ^ v.expand(shape).states
+    for full in (combine_stripes(h, v), combine_stripes(v, h)):
+        assert full.phase_table == (0.0, 180.0)
+        np.testing.assert_array_equal(full.states, want)
+
+
 def test_combine_rejects_same_orientation():
     a = StripeConfig("horizontal", np.array([0, 1]))
     b = StripeConfig("horizontal", np.array([1, 0]))

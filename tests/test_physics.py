@@ -26,6 +26,7 @@ from risopt import (
     scattered_field,
     simulate_received_signal,
 )
+from risopt import physics
 from risopt.physics import SPEED_OF_LIGHT, direction_unit
 
 
@@ -333,6 +334,45 @@ def test_pattern_rejects_empty_grid():
     illum = compute_illumination(geom, TxSpec(1.0))
     with pytest.raises(ValueError):
         radiation_pattern(geom, illum, PhaseConfig.zeros(3, 3), [], [0.0])
+
+
+def assert_pattern_matches_field(geom, illum, cfg, elevs, azims):
+    """Every grid point of the blocked pattern within 1e-12 of scattered_field."""
+    pat = radiation_pattern(geom, illum, cfg, elevs, azims)
+    assert pat.field.shape == (len(elevs), len(azims))
+    for i, t in enumerate(elevs):
+        for j, p in enumerate(azims):
+            want = scattered_field(geom, illum, cfg, float(t), float(p))
+            assert abs(pat.field[i, j] - want) <= 1e-12 * max(abs(want), 1e-30), (t, p)
+
+
+def test_pattern_crosses_block_boundary_on_desk_surface():
+    geom = RisGeometry.half_wavelength(40, 40, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0))
+    cfg = PhaseConfig(np.random.default_rng(62).integers(0, 2, (40, 40)))
+    elevs = np.arange(-60.0, 61.0, 5.0)
+    azims = np.arange(0.0, 181.0, 5.0)
+    assert len(elevs) * len(azims) > physics._PATTERN_BLOCK  # 925 directions, two blocks
+    assert_pattern_matches_field(geom, illum, cfg, elevs, azims)
+
+
+def test_pattern_non_square_surface():
+    geom = RisGeometry.half_wavelength(96, 128, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0, 20.0, 45.0))
+    cfg = PhaseConfig(np.random.default_rng(63).integers(0, 4, (128, 96)),
+                      (0.0, 90.0, 180.0, 270.0))
+    assert_pattern_matches_field(geom, illum, cfg, np.arange(-60.0, 61.0, 10.0),
+                                 np.arange(0.0, 360.0, 20.0))
+
+
+@pytest.mark.parametrize("m_cols, n_rows", [(1, 24), (24, 1), (1, 1)])
+def test_pattern_single_row_or_column(m_cols, n_rows):
+    # one lattice axis has a one-element ramp: only its k = 0 row is used
+    geom = RisGeometry.half_wavelength(m_cols, n_rows, 5e9)
+    illum = compute_illumination(geom, TxSpec(0.5))
+    cfg = PhaseConfig(np.random.default_rng(64).integers(0, 2, (n_rows, m_cols)))
+    assert_pattern_matches_field(geom, illum, cfg, np.arange(-60.0, 61.0, 5.0),
+                                 np.arange(0.0, 181.0, 5.0))
 
 
 # ---------------------------------------------------------------- cascade gain

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from risopt.tensorfile import TensorFormatError, load_tensors, save_tensors
 
@@ -117,5 +120,60 @@ def test_corruption_in_second_record(tmp_path):
     save_tensors(path, [np.zeros(2, dtype=np.float32)])
     good = path.read_bytes()
     path.write_bytes(good + b"RIST" + struct.pack("<H", 1))
+    with pytest.raises(TensorFormatError):
+        load_tensors(path)
+
+
+# ---------------------------------------------------------------- properties
+
+# any float32 bit pattern, NaN payloads and signed zeros included
+records = st.lists(
+    hnp.arrays(np.uint32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4))
+    .map(lambda bits: bits.view(np.float32)),
+    max_size=4)
+
+
+def encode(tensors, tmp_path):
+    """File bytes of ``tensors`` and the byte offsets where each record ends."""
+    path = tmp_path / "p.rist"
+    ends = []
+    for i in range(len(tensors)):
+        save_tensors(path, tensors[: i + 1])
+        ends.append(path.stat().st_size)
+    save_tensors(path, tensors)
+    return path, path.read_bytes(), ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(records)
+def test_round_trip_property(tmp_path_factory, tensors):
+    path, _, _ = encode(tensors, tmp_path_factory.mktemp("rt"))
+    back = load_tensors(path)
+    assert len(back) == len(tensors)
+    for got, want in zip(back, tensors):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(records.filter(len), st.data())
+def test_truncation_property(tmp_path_factory, tensors, data):
+    # every cut that is not a record boundary leaves a malformed file
+    path, blob, ends = encode(tensors, tmp_path_factory.mktemp("cut"))
+    cut = data.draw(st.integers(1, len(blob) - 1).filter(lambda c: c not in ends))
+    path.write_bytes(blob[:cut])
+    with pytest.raises(TensorFormatError):
+        load_tensors(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records.filter(len), st.data())
+def test_header_corruption_property(tmp_path_factory, tensors, data):
+    # any changed byte of a record's magic or version is caught
+    path, blob, ends = encode(tensors, tmp_path_factory.mktemp("bad"))
+    start = data.draw(st.sampled_from([0] + ends[:-1]))
+    pos = start + data.draw(st.integers(0, 5))
+    value = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+    path.write_bytes(blob[:pos] + bytes([value]) + blob[pos + 1:])
     with pytest.raises(TensorFormatError):
         load_tensors(path)
