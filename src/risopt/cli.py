@@ -10,6 +10,7 @@ Subcommands: generate (dataset sweep), train (network fit), eval
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -76,21 +77,51 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The risopt argument parser, built once per process.
+
+    Every ``main`` call shares it: parsing only reads the parser and its
+    immutable defaults, and returns a fresh namespace each time.
+    """
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--ris-m", type=int, default=40,
+    shared.add_argument("--ris-m", type=_positive_int, default=40,
                         help="elements per row, the column count (default 40)")
-    shared.add_argument("--ris-n", type=int, default=40,
+    shared.add_argument("--ris-n", type=_positive_int, default=40,
                         help="elements per column, the row count (default 40)")
-    shared.add_argument("--freq-ghz", type=float, default=5.0,
+    shared.add_argument("--freq-ghz", type=_positive, default=5.0,
                         help="carrier frequency in GHz (default 5)")
-    shared.add_argument("--spacing", type=float, default=None,
+    shared.add_argument("--spacing", type=_positive, default=None,
                         help="element spacing in meters (default: half wavelength)")
-    shared.add_argument("--tx-dist", type=float, default=1.0,
+    shared.add_argument("--tx-dist", type=_positive, default=1.0,
                         help="boresight transmitter distance in meters (default 1)")
-    shared.add_argument("--rx-dist", type=float, default=10.0,
+    shared.add_argument("--rx-dist", type=_positive, default=10.0,
                         help="receiver distance in meters (default 10)")
-    shared.add_argument("--phase-states", type=int, default=2,
+    shared.add_argument("--phase-states", type=_positive_int, default=2,
                         help="number of evenly spaced reflection phases (default 2)")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
@@ -119,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[shared],
                        help="train the prediction network on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--lr", type=_finite, default=1e-3,
+    p.add_argument("--lr", type=_non_negative, default=1e-3,
                    help="ADAM learning rate, finite and >= 0 (default 1e-3)")
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--batch", type=_positive_int, default=32)
+    p.add_argument("--max-epochs", type=_positive_int, default=500)
+    p.add_argument("--patience", type=_positive_int, default=10)
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
@@ -175,8 +206,6 @@ _BINARY_ONLY = "--phase-states must be 2: the +1/-1 network encoding is binary-o
 
 
 def _phase_table(args) -> tuple:
-    if args.phase_states < 1:
-        raise ValueError("--phase-states must be >= 1")
     return tuple(360.0 * k / args.phase_states for k in range(args.phase_states))
 
 
@@ -213,12 +242,8 @@ def _history_paths(weights_out: Path):
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
-                          patience=args.patience, rng_seed=args.seed, lr=args.lr)
-    except ValueError as exc:
-        return _usage(str(exc))
-
+    cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
+                      patience=args.patience, rng_seed=args.seed, lr=args.lr)
     inputs, targets = load_arrays(args.data)
     splits = load_splits(args.data)
     model = make_model(args.seed)
@@ -353,8 +378,7 @@ def cmd_pattern(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, TensorFormatError, ValueError) as exc:

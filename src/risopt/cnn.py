@@ -435,26 +435,25 @@ def pm1_to_states(values: np.ndarray) -> np.ndarray:
     return (np.asarray(values) < 0).astype(np.int64)
 
 
-def predict_config(model: Model, h_cfg: StripeConfig, v_cfg: StripeConfig) -> PhaseConfig:
-    """Full binary config predicted from the two stripe search results.
-
-    The stripes are expanded to full-size +1/-1 maps, stacked as the
-    2-channel input, run through an eval-mode forward pass, and the
-    output sign is decoded (>= 0 means phase state 0).
-    """
+def stripe_image(h_cfg: StripeConfig, v_cfg: StripeConfig, phase_table) -> np.ndarray:
+    """The (H, W, 2) +1/-1 network input of a stripe pair, in either order:
+    channel 0 the horizontal stripes, channel 1 the vertical ones, each
+    expanded over the surface and sign-encoded (state 0 -> +1, 1 -> -1)."""
     if {h_cfg.orientation, v_cfg.orientation} != {"horizontal", "vertical"}:
         raise ValueError("need one horizontal and one vertical stripe config")
     if h_cfg.orientation != "horizontal":
         h_cfg, v_cfg = v_cfg, h_cfg
-    n_rows = len(h_cfg.states)
-    m_cols = len(v_cfg.states)
-    shape = (n_rows, m_cols)
-    x = np.stack([
-        states_to_pm1(h_cfg.expand(shape).states),
-        states_to_pm1(v_cfg.expand(shape).states),
-    ], axis=-1)
-    out = model_forward(model, x, "eval")
-    return PhaseConfig(pm1_to_states(out), DEFAULT_PHASE_TABLE)
+    shape = (len(h_cfg.states), len(v_cfg.states))
+    return np.stack([states_to_pm1(cfg.expand(shape, phase_table).states)
+                     for cfg in (h_cfg, v_cfg)], axis=-1)
+
+
+def predict_config(model: Model, h_cfg: StripeConfig, v_cfg: StripeConfig) -> PhaseConfig:
+    """Full binary config predicted from the two stripe search results:
+    their ``stripe_image`` through an eval-mode forward pass, sign-decoded
+    (>= 0 means phase state 0)."""
+    x = stripe_image(h_cfg, v_cfg, DEFAULT_PHASE_TABLE)
+    return PhaseConfig(pm1_to_states(model_forward(model, x, "eval")), DEFAULT_PHASE_TABLE)
 
 
 # ------------------------------------------------------------------ weights io

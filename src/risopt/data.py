@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from risopt.cnn import states_to_pm1
+from risopt.cnn import states_to_pm1, stripe_image
 from risopt.optimizers import StripeConfig, combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
     DEFAULT_PHASE_TABLE,
@@ -203,13 +203,8 @@ def encode_sample(sample: Sample):
 
     State 0 maps to +1 and state 1 to -1 in every channel.
     """
-    shape = sample.ref_cfg.shape
-    x = np.stack([
-        states_to_pm1(sample.h_cfg.expand(shape).states),
-        states_to_pm1(sample.v_cfg.expand(shape).states),
-    ], axis=-1)
-    y = states_to_pm1(sample.ref_cfg.states)
-    return x, y
+    x = stripe_image(sample.h_cfg, sample.v_cfg, sample.ref_cfg.phase_table)
+    return x, states_to_pm1(sample.ref_cfg.states)
 
 
 def generate_sample(geom, illum, rx: RxSpec, phase_table=DEFAULT_PHASE_TABLE,
@@ -249,13 +244,12 @@ def generate_dataset(
     ``progress`` may be a callable taking (done, total) for long runs.
     Returns the manifest that was written to ``out_dir/manifest.json``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if rx_distance <= 0:
         raise ValueError("rx distance must be > 0")
+    total = grid.num_points
+    splits = split_dataset(total, split_ratios, split_seed)
 
     illum = compute_illumination(geom, tx)
-    total = grid.num_points
     inputs, targets, rows = [], [], []
     for i, (az, el) in enumerate(grid.points()):
         sample = generate_sample(geom, illum, RxSpec(rx_distance, el, az),
@@ -272,7 +266,6 @@ def generate_dataset(
         if progress is not None:
             progress(i + 1, total)
 
-    splits = split_dataset(total, split_ratios, split_seed)
     manifest = DatasetManifest(
         geometry=geom,
         tx=tx,
@@ -286,6 +279,9 @@ def generate_dataset(
         flat_tx_phase=flat_tx_phase,
     )
 
+    # created only now, so a rejected input or a failed sweep leaves no directory
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_tensors(out_dir / "inputs.rist", inputs)
     save_tensors(out_dir / "targets.rist", targets)
     _write_json(out_dir / "samples.json", rows)

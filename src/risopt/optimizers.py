@@ -156,42 +156,37 @@ def gim_optimize(
     state is applied to the whole stripe with every other stripe held at
     its committed state; the stripe state is committed only on strict
     improvement.  Steps: N*P (horizontal) or M*P (vertical).  Each trial
-    updates the running cascade sum in O(1) from the stripe's summed ``h*g``.
+    updates the running cascade sum in O(1) from the stripe's summed ``h*g``;
+    like ``im_optimize``, the loop runs on plain Python scalars.
     """
     table = _normalize_table(phase_table)
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    n_rows, m_cols = ch.shape
-    num_states = len(table)
-    n_stripes = n_rows if orientation == "horizontal" else m_cols
 
     hg = ch.h * ch.g
     # total cascade contribution of each stripe (all its elements share a state)
-    stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
+    stripe_hg = (hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)).tolist()
     phasor = np.exp(1j * np.deg2rad(np.asarray(table)))
-
-    stripe_states = np.zeros(n_stripes, dtype=np.int64)
     current = complex(hg.sum() * phasor[0])  # all elements at state 0
+    phasor = phasor.tolist()
+
+    states = []
     best = -np.inf
     history = []
-    for i in range(n_stripes):
-        committed = int(stripe_states[i])
-        for j in range(num_states):
+    for stripe_hg_i in stripe_hg:
+        committed = 0
+        for j, phasor_j in enumerate(phasor):
             if j == committed:
                 cand_sum = current
             else:
-                cand_sum = current + complex(stripe_hg[i]) * (
-                    complex(phasor[j]) - complex(phasor[committed])
-                )
+                cand_sum = current + stripe_hg_i * (phasor_j - phasor[committed])
             cand = abs(cand_sum)
             if cand > best:
-                best = cand
-                stripe_states[i] = j
-                committed = j
-                current = cand_sum
+                best, current, committed = cand, cand_sum, j
             history.append(best)
+        states.append(committed)
     trace = OptimizeTrace(len(history), np.array(history), best)
-    return StripeConfig(orientation, stripe_states), trace
+    return StripeConfig(orientation, states), trace
 
 
 def combine_stripes(first: StripeConfig, second: StripeConfig, phase_table=DEFAULT_PHASE_TABLE) -> PhaseConfig:

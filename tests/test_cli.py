@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risopt.cli import main, pattern_csv
+from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
 from risopt.data import AngularGrid, load_manifest, load_splits
 from risopt.evaluate import load_report_csv
@@ -33,6 +33,15 @@ BASE = ["--ris-m", "8", "--ris-n", "8", "--freq-ghz", "10",
         "--tx-dist", "0.6", "--rx-dist", "4.0"]
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _fresh_process(argv, cwd):
+    """``python -m risopt argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "risopt", *argv], cwd=cwd,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +92,14 @@ def test_generate_bad_split_sum(tmp_path):
     assert code == 2
 
 
-def test_generate_bad_phase_states(tmp_path):
-    code = main(["generate", *BASE, "--phase-states", "0",
-                 "--grid-step", "20", "--out", str(tmp_path / "d")])
-    assert code == 2
+def test_generate_bad_phase_states(tmp_path, capsys):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as err:
+        main(["generate", *BASE, "--phase-states", "0",
+              "--grid-step", "20", "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --phase-states: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("states", ["1", "4"])
@@ -362,10 +375,78 @@ def test_console_script_help_runs():
     # the [project.scripts] target is the function `python -m risopt` runs
     pyproject = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["scripts"]["risopt"] == "risopt.cli:main"
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "risopt", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert "generate" in proc.stdout
-    assert "pattern" in proc.stdout
+    code, out, _ = _fresh_process(["--help"], REPO)
+    assert code == 0
+    assert "generate" in out
+    assert "pattern" in out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # usage text wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    request = ["optimize", *BASE, "--el", "20", "--az", "80"]
+    calls = [  # (argv, config file the call writes, or None)
+        ([*request, "--method", "gim", "--config-out", str(tmp_path / "a.rist")],
+         tmp_path / "a.rist"),
+        ([*request, "--method", "gim", "--freq-ghz", "0"], None),
+        # no --config-out: the default name must not leak from the first call
+        ([*request, "--method", "gim"], tmp_path / "config_gim.rist"),
+        ([*request, "--method", "im"], tmp_path / "config_im.rist"),
+    ]
+    in_process = []
+    for argv, config in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = config.read_bytes() if config is not None else None
+        in_process.append((code, captured.out, captured.err, written))
+    assert [c[0] for c in in_process] == [0, 2, 0, 0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.rist", "config_gim.rist", "config_im.rist"]
+
+    for (argv, config), want in zip(calls, in_process):
+        code, out, err = _fresh_process(argv, tmp_path)
+        written = config.read_bytes() if config is not None else None
+        assert (code, out, err, written) == want, argv
+
+
+_MISSING = "missing"  # stands for a path under tmp_path that must never be created
+
+_BAD_FLAGS = {
+    "optimize": ["optimize", *BASE, "--method", "gim", "--el", "0", "--az", "0",
+                 "--config-out", _MISSING],
+    "train": ["train", *BASE, "--data", _MISSING, "--weights-out", _MISSING],
+    "generate": ["generate", *BASE, "--grid-az", "0,0", "--grid-el", "0,0",
+                 "--grid-step", "5", "--out", _MISSING],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("optimize", "--ris-m", "0", "must be >= 1"),
+    ("optimize", "--ris-n", "-3", "must be >= 1"),
+    ("optimize", "--phase-states", "2.5", "expected an integer"),
+    ("optimize", "--freq-ghz", "0", "must be > 0"),
+    ("optimize", "--freq-ghz", "-5", "must be > 0"),
+    ("optimize", "--spacing", "nan", "must be finite"),
+    ("optimize", "--tx-dist", "inf", "must be finite"),
+    ("optimize", "--rx-dist", "0", "must be > 0"),
+    ("generate", "--rx-dist", "0", "must be > 0"),
+    ("train", "--batch", "0", "must be >= 1"),
+    ("train", "--max-epochs", "0", "must be >= 1"),
+    ("train", "--patience", "-1", "must be >= 1"),
+    ("train", "--lr", "-1", "must be >= 0"),
+])
+def test_bad_flag_is_named_at_parse_time(tmp_path, capsys, command, flag, value, message):
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"{flag}={value}"])
+    assert err.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

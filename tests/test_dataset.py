@@ -304,5 +304,16 @@ def test_generate_sample_orientations():
 
 def test_generate_rejects_bad_rx_distance(tmp_path):
     geom, tx = small_setup()
-    with pytest.raises(ValueError):
-        generate_dataset(geom, tx, 0.0, AngularGrid(), tmp_path)
+    out = tmp_path / "d"
+    with pytest.raises(ValueError, match="rx distance"):
+        generate_dataset(geom, tx, 0.0, AngularGrid(), out)
+    assert not out.exists()
+
+
+def test_generate_rejects_bad_split_before_the_sweep(tmp_path):
+    # the default grid would take minutes to sweep at this size
+    geom, tx = small_setup()
+    out = tmp_path / "d"
+    with pytest.raises(ValueError, match="ratios must sum to 1"):
+        generate_dataset(geom, tx, 10.0, AngularGrid(), out, split_ratios=(0.5, 0.2, 0.2))
+    assert not out.exists()

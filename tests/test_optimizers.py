@@ -557,6 +557,18 @@ def test_im_bit_identical_to_reference_on_desk_channels():
                              reference_im(ch, (0.0, 180.0), zeros, use_incremental=True))
 
 
+@pytest.mark.parametrize("table", [(0.0, 180.0), (0.0, 90.0, 180.0, 270.0)])
+def test_gim_bit_identical_to_reference_on_desk_channels(table):
+    geom = RisGeometry.half_wavelength(40, 40, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0))
+    for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
+        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
+        for orientation in ("horizontal", "vertical"):
+            assert_bit_identical(
+                gim_optimize(ch, table, orientation),
+                reference_gim(ch, table, orientation, use_incremental=True))
+
+
 @st.composite
 def greedy_instances(draw):
     """Seeded Gaussian channel, distinct random phase table, optional init."""
