@@ -16,7 +16,6 @@ from risopt.physics import (
     cascade_gain,
     compute_channels,
     compute_illumination,
-    flip_delta,
     objective,
     radiation_pattern,
     received_power_db,

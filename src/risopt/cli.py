@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -28,6 +27,7 @@ from risopt.cnn import (
 )
 from risopt.data import (
     AngularGrid,
+    _write_json,
     generate_dataset,
     load_arrays,
     load_splits,
@@ -47,24 +47,17 @@ from risopt.physics import (
 from risopt.tensorfile import TensorFormatError, load_tensors, save_tensors
 
 
-def _pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _floats(n: int):
+    """argparse type: exactly ``n`` comma-separated floats, as a tuple."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != n:
+            raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers, got {text!r}")
+        try:
+            return tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _finite(text: str) -> float:
@@ -84,6 +77,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _frequency_ghz(text: str) -> float:
+    value = _positive(text)
+    if not math.isfinite(value * 1e9):
+        raise argparse.ArgumentTypeError(f"must be finite in Hz, got {text!r} GHz")
+    return value
+
+
 def _non_negative(text: str) -> float:
     value = _finite(text)
     if value < 0:
@@ -91,14 +91,17 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
+def _int_from(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -109,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     immutable defaults, and returns a fresh namespace each time.
     """
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--ris-m", type=_positive_int, default=40,
+    shared.add_argument("--ris-m", type=_int_from(1), default=40,
                         help="elements per row, the column count (default 40)")
-    shared.add_argument("--ris-n", type=_positive_int, default=40,
+    shared.add_argument("--ris-n", type=_int_from(1), default=40,
                         help="elements per column, the row count (default 40)")
-    shared.add_argument("--freq-ghz", type=_positive, default=5.0,
+    shared.add_argument("--freq-ghz", type=_frequency_ghz, default=5.0,
                         help="carrier frequency in GHz (default 5)")
     shared.add_argument("--spacing", type=_positive, default=None,
                         help="element spacing in meters (default: half wavelength)")
@@ -121,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boresight transmitter distance in meters (default 1)")
     shared.add_argument("--rx-dist", type=_positive, default=10.0,
                         help="receiver distance in meters (default 10)")
-    shared.add_argument("--phase-states", type=_positive_int, default=2,
+    shared.add_argument("--phase-states", type=_int_from(1), default=2,
                         help="number of evenly spaced reflection phases (default 2)")
-    shared.add_argument("--seed", type=int, default=0,
+    shared.add_argument("--seed", type=_int_from(0), default=0,
                         help="seed for every random choice (default 0)")
     shared.add_argument("--flat-tx-phase", action="store_true",
                         help="drop the per-element near-field transmit phase")
@@ -136,13 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[shared],
                        help="sweep receiver angles and write a dataset directory")
-    p.add_argument("--grid-az", type=_pair, default=(0.0, 180.0),
+    p.add_argument("--grid-az", type=_floats(2), default=(0.0, 180.0),
                    metavar="A,B", help="azimuth range in degrees (default 0,180)")
-    p.add_argument("--grid-el", type=_pair, default=(-60.0, 60.0),
+    p.add_argument("--grid-el", type=_floats(2), default=(-60.0, 60.0),
                    metavar="A,B", help="elevation range in degrees (default -60,60)")
-    p.add_argument("--grid-step", type=float, default=1.0,
+    p.add_argument("--grid-step", type=_positive, default=1.0,
                    help="grid step in degrees (default 1)")
-    p.add_argument("--split", type=_triple, default=(0.6, 0.2, 0.2),
+    p.add_argument("--split", type=_floats(3), default=(0.6, 0.2, 0.2),
                    metavar="TR,VA,TE", help="split ratios (default 0.6,0.2,0.2)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
@@ -152,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--lr", type=_non_negative, default=1e-3,
                    help="ADAM learning rate, finite and >= 0 (default 1e-3)")
-    p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--max-epochs", type=_positive_int, default=500)
-    p.add_argument("--patience", type=_positive_int, default=10)
+    p.add_argument("--batch", type=_int_from(1), default=32)
+    p.add_argument("--max-epochs", type=_int_from(1), default=500)
+    p.add_argument("--patience", type=_int_from(1), default=10)
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="trained weights file")
     p.add_argument("--report-out", required=True, help="report CSV to write")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--snr-db", type=float, default=None,
+    p.add_argument("--snr-db", type=_finite, default=None,
                    help="demo mode: score with seeded noisy link at this SNR")
     p.set_defaults(func=cmd_eval)
 
@@ -184,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config tensor file; it stores state indices but no "
                         "phase table, so --phase-states must match the one the "
                         "config was written with")
-    p.add_argument("--step", type=float, default=1.0, help="grid step in degrees")
+    p.add_argument("--step", type=_positive, default=1.0, help="grid step in degrees")
     p.add_argument("--out", required=True, help="pattern CSV to write")
     p.set_defaults(func=cmd_pattern)
     return parser
@@ -235,12 +238,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _history_paths(weights_out: Path):
-    history = weights_out.parent / (weights_out.stem + "_history.csv")
-    run = weights_out.parent / (weights_out.stem + "_run.json")
-    return history, run
-
-
 def cmd_train(args) -> int:
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
@@ -256,11 +253,11 @@ def cmd_train(args) -> int:
     weights_out = Path(args.weights_out)
     weights_out.parent.mkdir(parents=True, exist_ok=True)
     save_model(weights_out, trained)
-    history_path, run_path = _history_paths(weights_out)
+    history_path = weights_out.parent / (weights_out.stem + "_history.csv")
     lines = ["epoch,train_loss,val_loss"]
     lines += [f"{e},{tl!r},{vl!r}" for e, tl, vl in history]
     history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    run_path.write_text(json.dumps({
+    _write_json(weights_out.parent / (weights_out.stem + "_run.json"), {
         "data": str(args.data),
         "lr": cfg.lr,
         "batch_size": cfg.batch_size,
@@ -270,7 +267,7 @@ def cmd_train(args) -> int:
         "epochs_run": len(history),
         "final_train_loss": history[-1][1],
         "final_val_loss": history[-1][2],
-    }, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    })
     print(f"epochs={len(history)} final_val_loss={history[-1][2]!r}")
     print(f"weights={weights_out}")
     print(f"history={history_path}")

@@ -54,52 +54,40 @@ class ConvLayer:
 
 
 @dataclass
-class DropoutLayer:
-    """Inverted dropout: train mode zeroes and rescales, eval is identity."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-
-
-@dataclass
 class Model:
-    layers: list
+    """Conv layers in order, with inverted dropout (train mode only) after
+    each conv whose 1-based index is in ``dropout_after``."""
+
+    convs: list
+    dropout_after: tuple = ()
+    dropout_rate: float = DEFAULT_DROPOUT_RATE
 
     def __post_init__(self):
-        convs = self.conv_layers()
-        if not convs:
+        if not self.convs:
             raise ValueError("model needs at least one conv layer")
-        for a, b in zip(convs, convs[1:]):
+        for a, b in zip(self.convs, self.convs[1:]):
             if a.weights.shape[3] != b.weights.shape[2]:
                 raise ValueError("conv channel chain is inconsistent")
-
-    def conv_layers(self) -> list:
-        return [l for l in self.layers if isinstance(l, ConvLayer)]
+        if not all(1 <= i <= len(self.convs) for i in self.dropout_after):
+            raise ValueError(f"dropout_after must hold conv indices in [1, {len(self.convs)}]")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout rate must lie in [0, 1)")
 
     @property
     def in_channels(self) -> int:
-        return self.conv_layers()[0].weights.shape[2]
-
-    @property
-    def out_channels(self) -> int:
-        return self.conv_layers()[-1].weights.shape[3]
+        return self.convs[0].weights.shape[2]
 
     @property
     def min_spatial(self) -> int:
-        return max(max(l.weights.shape[0], l.weights.shape[1])
-                   for l in self.conv_layers())
+        return max(max(l.weights.shape[0], l.weights.shape[1]) for l in self.convs)
 
     def parameters(self) -> list:
-        return [p for layer in self.conv_layers() for p in (layer.weights, layer.bias)]
+        return [p for layer in self.convs for p in (layer.weights, layer.bias)]
 
     def set_parameters(self, params) -> None:
-        convs = self.conv_layers()
-        if len(params) != 2 * len(convs):
+        if len(params) != 2 * len(self.convs):
             raise ValueError("parameter list length mismatch")
-        for i, layer in enumerate(convs):
+        for i, layer in enumerate(self.convs):
             w, b = params[2 * i], params[2 * i + 1]
             if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
                 raise ValueError("parameter shape mismatch")
@@ -110,13 +98,8 @@ class Model:
         return sum(p.size for p in self.parameters())
 
     def copy(self) -> "Model":
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, ConvLayer):
-                layers.append(ConvLayer(layer.weights.copy(), layer.bias.copy()))
-            else:
-                layers.append(DropoutLayer(layer.rate))
-        return Model(layers)
+        return Model([ConvLayer(l.weights.copy(), l.bias.copy()) for l in self.convs],
+                     self.dropout_after, self.dropout_rate)
 
 
 def make_model(
@@ -136,17 +119,15 @@ def make_model(
     if len(channels) != len(kernels) + 1:
         raise ValueError("need one more channel count than kernel sizes")
     rng = np.random.default_rng(rng_seed)
-    layers = []
+    convs = []
     for i, k in enumerate(kernels):
         cin, cout = channels[i], channels[i + 1]
         fan_in = k * k * cin
         fan_out = k * k * cout
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, (k, k, cin, cout)).astype(dtype)
-        layers.append(ConvLayer(weights, np.zeros(cout, dtype=dtype)))
-        if (i + 1) in dropout_after:
-            layers.append(DropoutLayer(dropout_rate))
-    return Model(layers)
+        convs.append(ConvLayer(weights, np.zeros(cout, dtype=dtype)))
+    return Model(convs, tuple(dropout_after), dropout_rate)
 
 
 # ------------------------------------------------------------------ conv core
@@ -188,37 +169,34 @@ def _conv_backward(xp: np.ndarray, weights: np.ndarray, dz: np.ndarray):
 
 
 def _forward_pass(model: Model, x: np.ndarray, mode: str, rng):
-    """Run all layers, returning the last activation and per-layer caches."""
+    """Run all layers, returning the last activation and per-conv caches
+    ``(layer, padded input, tanh output, dropout mask or None)``."""
     caches = []
     a = x
-    for layer in model.layers:
-        if isinstance(layer, ConvLayer):
-            z, xp = _conv_forward(a, layer.weights, layer.bias)
-            a = np.tanh(z)
-            caches.append(("conv", layer, xp, a))
-        elif mode == "train" and layer.rate > 0.0:
-            keep = rng.random(a.shape) >= layer.rate
-            scale = 1.0 / (1.0 - layer.rate)
-            a = a * keep * scale
-            caches.append(("drop", keep, scale))
-        else:
-            caches.append(("drop", None, 1.0))
+    drop = mode == "train" and model.dropout_rate > 0.0
+    scale = 1.0 / (1.0 - model.dropout_rate)
+    for i, layer in enumerate(model.convs, start=1):
+        z, xp = _conv_forward(a, layer.weights, layer.bias)
+        act = np.tanh(z)
+        keep = None
+        if drop and i in model.dropout_after:
+            keep = rng.random(act.shape) >= model.dropout_rate
+        caches.append((layer, xp, act, keep))
+        a = act if keep is None else act * keep * scale
     return a, caches
 
 
-def _check_input(model: Model, x: np.ndarray) -> np.ndarray:
+def _check_input(model: Model, x: np.ndarray, mode: str) -> np.ndarray:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     # follow the parameter dtype so float32 models run fully in float32
-    x = np.asarray(x, dtype=model.conv_layers()[0].weights.dtype)
+    x = np.asarray(x, dtype=model.convs[0].weights.dtype)
     if x.ndim != 3 or x.shape[2] != model.in_channels:
         raise ValueError(
             f"input must be (H, W, {model.in_channels}), got {x.shape}")
     if min(x.shape[0], x.shape[1]) < model.min_spatial:
         raise ValueError("input smaller than the largest kernel")
     return x
-
-
-def _squeeze(out: np.ndarray) -> np.ndarray:
-    return out[:, :, 0] if out.shape[2] == 1 else out
 
 
 def model_forward(model: Model, x, mode: str = "eval", rng_seed: int = 0) -> np.ndarray:
@@ -228,11 +206,9 @@ def model_forward(model: Model, x, mode: str = "eval", rng_seed: int = 0) -> np.
     deterministic with no stochastic path.  A single-channel result is
     squeezed to (H, W).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    x = _check_input(model, x)
+    x = _check_input(model, x, mode)
     out, _ = _forward_pass(model, x, mode, np.random.default_rng(rng_seed))
-    return _squeeze(out)
+    return out[:, :, 0] if out.shape[2] == 1 else out
 
 
 def mse_loss(pred, target) -> float:
@@ -256,16 +232,13 @@ def _loss_and_grads(model: Model, x: np.ndarray, target: np.ndarray, mode: str, 
     loss = float(np.mean(diff * diff))
     da = 2.0 * diff / diff.size
 
+    scale = 1.0 / (1.0 - model.dropout_rate)
     grads = []
-    for cache in reversed(caches):
-        if cache[0] == "conv":
-            _, layer, xp, act = cache
-            dw, db, da = _conv_backward(xp, layer.weights, da * (1.0 - act * act))
-            grads += [db, dw]
-        else:
-            _, keep, scale = cache
-            if keep is not None:
-                da = da * keep * scale
+    for layer, xp, act, keep in reversed(caches):
+        if keep is not None:
+            da = da * keep * scale
+        dw, db, da = _conv_backward(xp, layer.weights, da * (1.0 - act * act))
+        grads += [db, dw]
     grads.reverse()
     return loss, grads
 
@@ -277,9 +250,7 @@ def model_backward(model: Model, x, target, mode: str = "train", rng_seed: int =
     :func:`model_forward` call, so the gradients correspond exactly to
     that stochastic forward pass.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    x = _check_input(model, x)
+    x = _check_input(model, x, mode)
     _, grads = _loss_and_grads(model, x, target, mode, np.random.default_rng(rng_seed))
     return grads
 
@@ -365,7 +336,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig) -> tuple:
     ``(epoch, train_loss, val_loss)`` with 1-based epoch numbers.  The
     input model is not modified.
     """
-    dtype = model.conv_layers()[0].weights.dtype
+    dtype = model.convs[0].weights.dtype
     train_x, train_y = _as_dataset("train", train_set, dtype)
     val_x, val_y = _as_dataset("val", val_set, dtype)
 
@@ -463,24 +434,15 @@ def save_model(path, model: Model) -> None:
     save_tensors(path, model.parameters())
 
 
-def load_model(path, dropout_after=DEFAULT_DROPOUT_AFTER,
-               dropout_rate: float = DEFAULT_DROPOUT_RATE) -> Model:
-    """Rebuild a model from a weights file.
+def load_model(path) -> Model:
+    """Rebuild a model from a weights file, for eval-mode use only.
 
-    The file stores only conv parameters; dropout layers carry no state,
-    so their placement is supplied here (defaults match
-    :func:`make_model`).  Dropout never runs at eval time, which is the
-    only mode a reloaded float32 model is meant for.
+    The file stores only conv parameters, so the model has no dropout;
+    dropout never runs at eval time, the only mode a reloaded float32
+    model is meant for.
     """
     records = load_tensors(path)
     if not records or len(records) % 2:
         raise ValueError("weights file must hold (weights, bias) record pairs")
-    layers = []
-    n_convs = len(records) // 2
-    for i in range(n_convs):
-        w = records[2 * i].astype(float)
-        b = records[2 * i + 1].astype(float)
-        layers.append(ConvLayer(w, b))
-        if (i + 1) in dropout_after and i + 1 < n_convs:
-            layers.append(DropoutLayer(dropout_rate))
-    return Model(layers)
+    return Model([ConvLayer(records[i].astype(float), records[i + 1].astype(float))
+                  for i in range(0, len(records), 2)])

@@ -45,6 +45,11 @@ MANIFEST_VERSION = 1
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 
 
+def _inclusive_range(start: float, stop: float, step: float) -> np.ndarray:
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return start + step * np.arange(n)
+
+
 @dataclass(frozen=True)
 class AngularGrid:
     """Inclusive rectangular sweep of receiver angles."""
@@ -74,12 +79,10 @@ class AngularGrid:
             raise ValueError(f"grid azimuth {az[0]}..{az[-1]} must lie in [0, 360) degrees")
 
     def azimuth_values(self) -> np.ndarray:
-        n = int(math.floor((self.azimuth_stop - self.azimuth_start) / self.step_deg + 1e-9)) + 1
-        return self.azimuth_start + self.step_deg * np.arange(n)
+        return _inclusive_range(self.azimuth_start, self.azimuth_stop, self.step_deg)
 
     def elevation_values(self) -> np.ndarray:
-        n = int(math.floor((self.elevation_stop - self.elevation_start) / self.step_deg + 1e-9)) + 1
-        return self.elevation_start + self.step_deg * np.arange(n)
+        return _inclusive_range(self.elevation_start, self.elevation_stop, self.step_deg)
 
     @property
     def num_points(self) -> int:
@@ -131,8 +134,7 @@ class DatasetManifest:
                          "dy": g.dy, "carrier_freq": g.carrier_freq},
             "tx": {"distance": self.tx.distance,
                    "elevation_deg": self.tx.elevation_deg,
-                   "azimuth_deg": self.tx.azimuth_deg,
-                   "tx_power_amp": self.tx.tx_power_amp},
+                   "azimuth_deg": self.tx.azimuth_deg},
             "rx_distance_m": self.rx_distance_m,
             "grid": {"azimuth_start": self.grid.azimuth_start,
                      "azimuth_stop": self.grid.azimuth_stop,
@@ -151,7 +153,8 @@ class DatasetManifest:
             raise ValueError(f"unsupported manifest version {d.get('format_version')!r}")
         return cls(
             geometry=RisGeometry(**d["geometry"]),
-            tx=TxSpec(**d["tx"]),
+            # older manifests also carry an unused tx_power_amp, which is ignored
+            tx=TxSpec(d["tx"]["distance"], d["tx"]["elevation_deg"], d["tx"]["azimuth_deg"]),
             rx_distance_m=float(d["rx_distance_m"]),
             grid=AngularGrid(**d["grid"]),
             split_ratios=tuple(d["split"]["ratios"]),
@@ -168,16 +171,13 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
-def split_dataset(manifest_or_count, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
+def split_dataset(count: int, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
     """Seeded uniform shuffle split into train/val/test index lists.
 
     Sizes are the floors of ratio * count; any remainder goes to train.
     The three lists are disjoint and cover every index.
     """
-    if isinstance(manifest_or_count, DatasetManifest):
-        count = int(manifest_or_count.counts["total"])
-    else:
-        count = int(manifest_or_count)
+    count = int(count)
     if count < 1:
         raise ValueError("nothing to split")
     ratios = tuple(float(r) for r in ratios)
@@ -244,8 +244,6 @@ def generate_dataset(
     ``progress`` may be a callable taking (done, total) for long runs.
     Returns the manifest that was written to ``out_dir/manifest.json``.
     """
-    if rx_distance <= 0:
-        raise ValueError("rx distance must be > 0")
     total = grid.num_points
     splits = split_dataset(total, split_ratios, split_seed)
 
@@ -279,9 +277,12 @@ def generate_dataset(
         flat_tx_phase=flat_tx_phase,
     )
 
-    # created only now, so a rejected input or a failed sweep leaves no directory
+    # created only now, so a rejected input or a failed sweep leaves no directory;
+    # an old manifest goes first and the new one is written last, so an
+    # interrupted regeneration never leaves a manifest over stale tensors
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     save_tensors(out_dir / "inputs.rist", inputs)
     save_tensors(out_dir / "targets.rist", targets)
     _write_json(out_dir / "samples.json", rows)

@@ -11,14 +11,13 @@ methods are expected to track the reference closely.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from risopt.cnn import Model, pm1_to_states, predict_config
-from risopt.data import load_arrays, load_manifest, load_sample_rows, load_splits
+from risopt.data import _write_json, load_arrays, load_manifest, load_sample_rows, load_splits
 from risopt.optimizers import StripeConfig, combine_stripes
 from risopt.physics import (
     DB_FLOOR,
@@ -60,9 +59,7 @@ class EvalReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def save_summary(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.summary, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8")
+        _write_json(Path(path), self.summary)
 
 
 def _summarize(rows: list) -> dict:

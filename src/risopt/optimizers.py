@@ -106,9 +106,9 @@ def im_optimize(
     M*N*P steps and the final objective never falls below the objective
     of ``init`` (all-zero states when omitted).
 
-    Each trial updates the running cascade sum in O(1) with the same
-    arithmetic as ``flip_delta``; the loop itself is plain Python scalars,
-    with ``h*g`` and the P x P phasor differences computed once up front.
+    Each trial updates the running cascade sum in O(1) by
+    ``h*g * (phasor[new] - phasor[old])``, on plain Python scalars, with
+    ``h*g`` and the P x P phasor differences computed once up front.
     """
     table = _normalize_table(phase_table)
     n_rows, m_cols = ch.shape
@@ -202,10 +202,9 @@ def combine_stripes(first: StripeConfig, second: StripeConfig, phase_table=DEFAU
     h_cfg, v_cfg = (first, second) if first.orientation == "horizontal" else (second, first)
     table = _normalize_table(phase_table)
     tbl = np.asarray(table)
-    if h_cfg.states.size and h_cfg.states.max() >= len(table):
-        raise ValueError("horizontal states exceed phase_table")
-    if v_cfg.states.size and v_cfg.states.max() >= len(table):
-        raise ValueError("vertical states exceed phase_table")
+    for cfg in (h_cfg, v_cfg):
+        if cfg.states.size and cfg.states.max() >= len(table):
+            raise ValueError(f"{cfg.orientation} states exceed phase_table")
     total = (tbl[h_cfg.states][:, np.newaxis] + tbl[v_cfg.states][np.newaxis, :]) % 360.0
     diff = np.abs(total[..., np.newaxis] - tbl)
     circular = np.minimum(diff, 360.0 - diff)

@@ -35,13 +35,20 @@ class DegeneratePowerError(ValueError):
     """Raised when a power estimate would take log of zero."""
 
 
-def direction_unit(elevation_deg: float, azimuth_deg: float) -> np.ndarray:
-    """Unit vector for (elevation from +z, azimuth in the xy-plane)."""
+def direction_cosines(elevation_deg, azimuth_deg):
+    """x and y components ``(u, v)`` of the unit vector toward (elevation
+    from +z, azimuth in the xy-plane); broadcasts over array angles."""
     t = np.deg2rad(elevation_deg)
     p = np.deg2rad(azimuth_deg)
-    return np.array(
-        [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]
-    )
+    sin_t = np.sin(t)
+    return sin_t * np.cos(p), sin_t * np.sin(p)
+
+
+def _check_angles(name: str, elevation_deg: float, azimuth_deg: float) -> None:
+    if not -90.0 <= elevation_deg <= 90.0:
+        raise ValueError(f"{name} elevation {elevation_deg} must lie in [-90, 90] degrees")
+    if not 0.0 <= azimuth_deg < 360.0:
+        raise ValueError(f"{name} azimuth {azimuth_deg} must lie in [0, 360) degrees")
 
 
 @dataclass(frozen=True)
@@ -89,23 +96,20 @@ class RisGeometry:
 
 @dataclass(frozen=True)
 class TxSpec:
-    """Transmitter position (spherical, from the surface center) and drive level."""
+    """Transmitter position in spherical coordinates from the surface center."""
 
     distance: float
     elevation_deg: float = 0.0
     azimuth_deg: float = 0.0
-    tx_power_amp: float = 1.0
 
     def __post_init__(self):
         if self.distance <= 0:
             raise ValueError("tx distance must be > 0")
-        if not -90.0 <= self.elevation_deg <= 90.0:
-            raise ValueError("tx elevation must lie in [-90, 90] degrees")
-        if not 0.0 <= self.azimuth_deg < 360.0:
-            raise ValueError("tx azimuth must lie in [0, 360) degrees")
+        _check_angles("tx", self.elevation_deg, self.azimuth_deg)
 
     def position(self) -> np.ndarray:
-        return self.distance * direction_unit(self.elevation_deg, self.azimuth_deg)
+        u, v = direction_cosines(self.elevation_deg, self.azimuth_deg)
+        return self.distance * np.array([u, v, np.cos(np.deg2rad(self.elevation_deg))])
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,7 @@ class RxSpec:
     def __post_init__(self):
         if self.distance <= 0:
             raise ValueError("rx distance must be > 0")
-        if not -90.0 <= self.elevation_deg <= 90.0:
-            raise ValueError(f"rx elevation {self.elevation_deg} must lie in [-90, 90] degrees")
-        if not 0.0 <= self.azimuth_deg < 360.0:
-            raise ValueError(f"rx azimuth {self.azimuth_deg} must lie in [0, 360) degrees")
+        _check_angles("rx", self.elevation_deg, self.azimuth_deg)
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,6 @@ class Illumination:
     phase: np.ndarray
     cos_inc: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return self.amp.shape
-
 
 @dataclass(frozen=True)
 class ChannelMatrices:
@@ -239,20 +236,15 @@ def compute_illumination(geom: RisGeometry, tx: TxSpec) -> Illumination:
     amp = geom.wavelength / (4 * np.pi * r)
     phase = -geom.k0 * r
     cos_inc = tx_pos[2] / r
-    amp, cos_inc = np.broadcast_arrays(amp, cos_inc)
-    phase = np.broadcast_to(phase, amp.shape)
-    return Illumination(amp.copy(), phase.copy(), cos_inc.copy())
+    return Illumination(amp, phase, cos_inc)
 
 
-def _steering_phase(geom: RisGeometry, elevation_deg: float, azimuth_deg: float):
-    """Per-column and per-row steering phases toward (elevation, azimuth)."""
-    t = np.deg2rad(elevation_deg)
-    p = np.deg2rad(azimuth_deg)
-    u = np.sin(t) * np.cos(p)
-    v = np.sin(t) * np.sin(p)
+def _steering(geom: RisGeometry, elevation_deg: float, azimuth_deg: float) -> np.ndarray:
+    """Per-element (N, M) steering phasors toward (elevation, azimuth)."""
+    u, v = direction_cosines(elevation_deg, azimuth_deg)
     col = geom.k0 * geom.dx * np.arange(geom.m_cols) * u
     row = geom.k0 * geom.dy * np.arange(geom.n_rows) * v
-    return col, row
+    return np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
 
 
 def compute_channels(
@@ -278,8 +270,7 @@ def compute_channels(
     else:
         h = illum.amp * np.exp(1j * illum.phase) * illum.cos_inc
     l_rx = geom.wavelength / (4 * np.pi * rx.distance)
-    col, row = _steering_phase(geom, rx.elevation_deg, rx.azimuth_deg)
-    steer = np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
+    steer = _steering(geom, rx.elevation_deg, rx.azimuth_deg)
     g = l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer
     return ChannelMatrices(h, g)
 
@@ -299,8 +290,7 @@ def scattered_field(
     the reflected wave.
     """
     _check_dims(geom, illum.amp, cfg.states)
-    col, row = _steering_phase(geom, elevation_deg, azimuth_deg)
-    steer = np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
+    steer = _steering(geom, elevation_deg, azimuth_deg)
     terms = illum.amp * np.exp(1j * (illum.phase + cfg.phases_rad())) * illum.cos_inc * steer
     return complex(np.cos(np.deg2rad(elevation_deg)) * terms.sum())
 
@@ -346,11 +336,9 @@ def radiation_pattern(
 
     weights = illum.amp * np.exp(1j * (illum.phase + cfg.phases_rad())) * illum.cos_inc
 
-    t = np.deg2rad(elevations)[:, np.newaxis]
-    p = np.deg2rad(azimuths)[np.newaxis, :]
-    sin_t = np.sin(t)
-    step_x = np.exp(1j * geom.k0 * geom.dx * (sin_t * np.cos(p))).ravel()
-    step_y = np.exp(1j * geom.k0 * geom.dy * (sin_t * np.sin(p))).ravel()
+    u, v = direction_cosines(elevations[:, np.newaxis], azimuths[np.newaxis, :])
+    step_x = np.exp(1j * geom.k0 * geom.dx * u).ravel()
+    step_y = np.exp(1j * geom.k0 * geom.dy * v).ravel()
     field = np.empty(step_x.size, dtype=complex)
     width = min(_PATTERN_BLOCK, field.size)
     ex = np.empty((geom.m_cols, width), dtype=complex)
@@ -363,7 +351,8 @@ def radiation_pattern(
         rows = weights @ bx  # (N, B): each row summed over its columns
         rows *= by
         field[start:stop] = rows.sum(axis=0)
-    field = field.reshape(elevations.size, azimuths.size) * np.cos(t)
+    cos_t = np.cos(np.deg2rad(elevations))[:, np.newaxis]
+    field = field.reshape(elevations.size, azimuths.size) * cos_t
 
     mag = np.abs(field)
     with np.errstate(divide="ignore"):
@@ -376,35 +365,6 @@ def cascade_gain(ch: ChannelMatrices, cfg: PhaseConfig) -> complex:
     if ch.shape != cfg.shape:
         raise ValueError(f"config shape {cfg.shape} does not match channels {ch.shape}")
     return complex((ch.h * np.exp(1j * cfg.phases_rad()) * ch.g).sum())
-
-
-def flip_delta(
-    ch: ChannelMatrices,
-    cfg: PhaseConfig,
-    row: int,
-    col: int,
-    new_state: int,
-    current_sum: complex,
-) -> complex:
-    """Cascade gain after switching one element, updated in O(1).
-
-    ``current_sum`` must equal ``cascade_gain(ch, cfg)``; the input config
-    is not modified.  Switching to the element's current state returns
-    ``current_sum`` unchanged.
-    """
-    n_rows, m_cols = ch.shape
-    if not (0 <= row < n_rows and 0 <= col < m_cols):
-        raise ValueError(f"element ({row}, {col}) out of range for {ch.shape}")
-    if not 0 <= new_state < cfg.num_states:
-        raise ValueError(f"state {new_state} out of range for P={cfg.num_states}")
-    old_state = int(cfg.states[row, col])
-    if new_state == old_state:
-        return current_sum
-    hg = complex(ch.h[row, col] * ch.g[row, col])
-    table = cfg.phase_table
-    old_phase = np.deg2rad(table[old_state])
-    new_phase = np.deg2rad(table[new_state])
-    return current_sum + hg * (np.exp(1j * new_phase) - np.exp(1j * old_phase))
 
 
 def objective(ch: ChannelMatrices, cfg: PhaseConfig) -> float:

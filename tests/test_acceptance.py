@@ -24,7 +24,6 @@ from risopt import (
     cascade_gain,
     compute_channels,
     compute_illumination,
-    flip_delta,
     objective,
     received_power_db,
     scattered_field,
@@ -50,6 +49,8 @@ from risopt.optimizers import (
     step_count,
 )
 from risopt.physics import SPEED_OF_LIGHT
+
+from oracles import flip_delta
 
 
 def report(capsys, line):

@@ -344,19 +344,21 @@ def test_train_non_finite_lr_is_usage_error(tmp_path, capsys, lr):
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_pattern_non_finite_step_is_usage_error(pipeline, capsys, step):
     out = pipeline["root"] / "step.csv"
-    code = main(["pattern", *BASE, "--config", str(pipeline["config"]),
-                 "--step", step, "--out", str(out)])
-    assert code == 2
-    assert "grid step must be finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["pattern", *BASE, "--config", str(pipeline["config"]),
+              "--step", step, "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --step: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_generate_non_finite_grid_step_is_usage_error(tmp_path, capsys, step):
     out = tmp_path / "d"
-    code = main(["generate", *BASE, "--grid-step", step, "--out", str(out)])
-    assert code == 2
-    assert "grid step must be finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["generate", *BASE, "--grid-step", step, "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --grid-step: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -425,6 +427,9 @@ _BAD_FLAGS = {
     "train": ["train", *BASE, "--data", _MISSING, "--weights-out", _MISSING],
     "generate": ["generate", *BASE, "--grid-az", "0,0", "--grid-el", "0,0",
                  "--grid-step", "5", "--out", _MISSING],
+    "eval": ["eval", *BASE, "--data", _MISSING, "--weights", _MISSING,
+             "--report-out", _MISSING],
+    "pattern": ["pattern", *BASE, "--config", _MISSING, "--out", _MISSING],
 }
 
 
@@ -434,6 +439,7 @@ _BAD_FLAGS = {
     ("optimize", "--phase-states", "2.5", "expected an integer"),
     ("optimize", "--freq-ghz", "0", "must be > 0"),
     ("optimize", "--freq-ghz", "-5", "must be > 0"),
+    ("optimize", "--freq-ghz", "1e300", "must be finite in Hz"),
     ("optimize", "--spacing", "nan", "must be finite"),
     ("optimize", "--tx-dist", "inf", "must be finite"),
     ("optimize", "--rx-dist", "0", "must be > 0"),
@@ -442,6 +448,17 @@ _BAD_FLAGS = {
     ("train", "--max-epochs", "0", "must be >= 1"),
     ("train", "--patience", "-1", "must be >= 1"),
     ("train", "--lr", "-1", "must be >= 0"),
+    ("generate", "--seed", "-1", "must be >= 0"),
+    ("train", "--seed", "-1", "must be >= 0"),
+    ("generate", "--grid-step", "0", "must be > 0"),
+    ("generate", "--grid-step", "nan", "must be finite"),
+    ("generate", "--grid-step", "inf", "must be finite"),
+    ("pattern", "--step", "0", "must be > 0"),
+    ("pattern", "--step", "nan", "must be finite"),
+    ("pattern", "--step", "-inf", "must be finite"),
+    ("eval", "--snr-db", "nan", "must be finite"),
+    ("eval", "--snr-db", "-inf", "must be finite"),
+    ("eval", "--snr-db", "inf", "must be finite"),
 ])
 def test_bad_flag_is_named_at_parse_time(tmp_path, capsys, command, flag, value, message):
     argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]

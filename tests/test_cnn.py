@@ -6,7 +6,6 @@ import pytest
 from risopt.cnn import (
     AdamState,
     ConvLayer,
-    DropoutLayer,
     Model,
     TrainConfig,
     adam_step,
@@ -42,10 +41,8 @@ def naive_conv_same(x, kernel, bias):
 
 def naive_forward_eval(model, x):
     a = x
-    for layer in model.layers:
-        if isinstance(layer, ConvLayer):
-            a = np.tanh(naive_conv_same(a, layer.weights, layer.bias))
-        # dropout is identity in eval mode
+    for layer in model.convs:  # dropout is identity in eval mode
+        a = np.tanh(naive_conv_same(a, layer.weights, layer.bias))
     return a[:, :, 0] if a.shape[2] == 1 else a
 
 
@@ -111,19 +108,19 @@ def test_conv_shape_validation():
 
 def test_default_architecture():
     model = make_model(0)
-    convs = model.conv_layers()
+    convs = model.convs
     assert len(convs) == 8
     chain = [convs[0].weights.shape[2]] + [c.weights.shape[3] for c in convs]
     assert chain == [2, 4, 16, 32, 128, 64, 8, 4, 1]
     assert [c.weights.shape[0] for c in convs] == [3, 3, 3, 5, 5, 3, 3, 3]
-    kinds = ["d" if isinstance(l, DropoutLayer) else "c" for l in model.layers]
-    assert kinds == ["c", "c", "c", "d", "c", "c", "c", "d", "c", "c"]
+    assert model.dropout_after == (3, 6)
+    assert model.dropout_rate == 0.2
     assert model.num_parameters() == 317_645
 
 
 def test_glorot_init_bounds_and_zero_bias():
     model = make_model(5, channels=(2, 4, 1), kernels=(3, 3), dropout_after=())
-    for layer in model.conv_layers():
+    for layer in model.convs:
         kh, kw, cin, cout = layer.weights.shape
         limit = np.sqrt(6.0 / (kh * kw * cin + kh * kw * cout))
         assert np.all(np.abs(layer.weights) <= limit)
@@ -172,15 +169,16 @@ def test_forward_input_validation():
 
 
 def test_model_validation():
+    conv = ConvLayer(np.zeros((3, 3, 2, 4)), np.zeros(4))
     with pytest.raises(ValueError):
-        Model([DropoutLayer(0.2)])  # no conv at all
+        Model([])  # no conv at all
     with pytest.raises(ValueError):
-        Model([
-            ConvLayer(np.zeros((3, 3, 2, 4)), np.zeros(4)),
-            ConvLayer(np.zeros((3, 3, 8, 1)), np.zeros(1)),  # chain break
-        ])
-    with pytest.raises(ValueError):
-        DropoutLayer(1.0)
+        Model([conv, ConvLayer(np.zeros((3, 3, 8, 1)), np.zeros(1))])  # chain break
+    with pytest.raises(ValueError, match="dropout rate"):
+        Model([conv], dropout_after=(1,), dropout_rate=1.0)
+    for after in ((0,), (2,)):  # 1-based, and only one conv
+        with pytest.raises(ValueError, match="dropout_after"):
+            Model([conv], dropout_after=after)
     with pytest.raises(ValueError):
         make_model(0, channels=(2, 4), kernels=(3, 3))
 
@@ -309,7 +307,7 @@ def test_dropout_expectation_matches_eval():
     rng = np.random.default_rng(21)
     w = np.zeros((1, 1, 2, 1))
     w[0, 0, :, 0] = 0.01
-    model = Model([DropoutLayer(0.2), ConvLayer(w, np.zeros(1))])
+    model = Model([ConvLayer(w, np.zeros(1))], dropout_after=(1,), dropout_rate=0.2)
     # both channels share a sign per cell so the channel sum stays away
     # from zero and the elementwise relative bound is meaningful
     x = rng.uniform(0.3, 0.5, (4, 4, 2)) * rng.choice([-1, 1], (4, 4, 1))
@@ -537,10 +535,10 @@ def test_save_load_round_trip(tmp_path):
                        dropout_after=(2,))
     path = tmp_path / "w.rist"
     save_model(path, model)
-    back = load_model(path, dropout_after=(2,))
-    assert len(back.conv_layers()) == 3
-    assert isinstance(back.layers[2], DropoutLayer)
-    for a, b in zip(model.conv_layers(), back.conv_layers()):
+    back = load_model(path)
+    assert len(back.convs) == 3
+    assert back.dropout_after == ()  # eval-only: the file holds no dropout
+    for a, b in zip(model.convs, back.convs):
         np.testing.assert_array_equal(
             b.weights, a.weights.astype(np.float32).astype(float))
         np.testing.assert_array_equal(

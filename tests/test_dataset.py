@@ -1,8 +1,12 @@
 """Grid arithmetic, split bookkeeping, encoding, and on-disk determinism."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from risopt import data
 from risopt.cnn import pm1_to_states
 from risopt.data import (
     AngularGrid,
@@ -277,6 +281,39 @@ def test_manifest_round_trip(tmp_path):
     assert back == manifest
     assert back.flat_tx_phase is True
     assert back.split_seed == 9
+
+
+def test_manifest_with_tx_power_amp_still_loads(tmp_path):
+    # manifests written before the unused tx_power_amp field was dropped
+    geom, tx = small_setup()
+    manifest = generate_dataset(geom, TxSpec(1.5, 20.0, 30.0), 10.0,
+                                AngularGrid(0.0, 0.0, 0.0, 0.0, 1.0), tmp_path)
+    path = tmp_path / "manifest.json"
+    old = json.loads(path.read_text(encoding="utf-8"))
+    assert "tx_power_amp" not in old["tx"]
+    old["tx"]["tx_power_amp"] = 1.0
+    path.write_text(json.dumps(old), encoding="utf-8")
+    assert load_manifest(tmp_path) == manifest
+
+
+def test_interrupted_regeneration_leaves_no_manifest(tmp_path, monkeypatch):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 20.0, 0.0, 0.0, 20.0), tmp_path)
+    load_manifest(tmp_path)
+
+    real_save = data.save_tensors
+
+    def save_fails_on_targets(path, tensors):
+        if Path(path).name == "targets.rist":
+            raise OSError("disk full")
+        real_save(path, tensors)
+
+    monkeypatch.setattr(data, "save_tensors", save_fails_on_targets)
+    with pytest.raises(OSError, match="disk full"):
+        generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 0.0, 20.0), tmp_path)
+    # inputs.rist is new, targets.rist and samples.json are stale: no manifest
+    with pytest.raises(FileNotFoundError):
+        load_manifest(tmp_path)
 
 
 def test_manifest_version_check():

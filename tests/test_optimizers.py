@@ -14,7 +14,6 @@ from risopt import (
     cascade_gain,
     compute_channels,
     compute_illumination,
-    flip_delta,
     objective,
 )
 from risopt.optimizers import (
@@ -26,6 +25,8 @@ from risopt.optimizers import (
     im_optimize,
     step_count,
 )
+
+from oracles import flip_delta
 
 
 def random_channels(rng, n_rows, m_cols):

@@ -19,7 +19,6 @@ from risopt import (
     cascade_gain,
     compute_channels,
     compute_illumination,
-    flip_delta,
     objective,
     radiation_pattern,
     received_power_db,
@@ -27,7 +26,9 @@ from risopt import (
     simulate_received_signal,
 )
 from risopt import physics
-from risopt.physics import SPEED_OF_LIGHT, direction_unit
+from risopt.physics import SPEED_OF_LIGHT, direction_cosines
+
+from oracles import flip_delta
 
 
 # ---------------------------------------------------------------- oracles
@@ -156,8 +157,9 @@ def test_tx_rx_validation():
     with pytest.raises(ValueError):
         RxSpec(-1.0)
     for el, az in [(95.0, 0.0), (-90.5, 0.0), (0.0, 400.0), (0.0, 360.0), (0.0, -1.0)]:
-        with pytest.raises(ValueError, match="rx (elevation|azimuth)"):
-            RxSpec(10.0, el, az)
+        for spec, name in ((RxSpec, "rx"), (TxSpec, "tx")):
+            with pytest.raises(ValueError, match=f"{name} (elevation {el}|azimuth {az}) must"):
+                spec(10.0, el, az)
     for el, az in [(90.0, 0.0), (-90.0, 359.9)]:  # closed elevation ends
         assert RxSpec(10.0, el, az).elevation_deg == el
 
@@ -167,7 +169,9 @@ def test_direction_unit_matches_oracle():
     for _ in range(50):
         t = float(rng.uniform(-90, 90))
         p = float(rng.uniform(0, 360))
-        np.testing.assert_allclose(direction_unit(t, p), oracle_unit(t, p),
+        want = oracle_unit(t, p)
+        np.testing.assert_allclose(direction_cosines(t, p), want[:2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(TxSpec(2.5, t, p).position(), 2.5 * want,
                                    rtol=0, atol=1e-15)
 
 
