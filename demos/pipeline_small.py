@@ -44,7 +44,7 @@ def main():
     splits = load_splits(workdir)
     model = make_model(0, dtype=np.float32)
     cfg = TrainConfig(batch_size=4, max_epochs=8, rng_seed=0, lr=3e-3)
-    print(f"training {model.num_parameters()} parameters, "
+    print(f"training {sum(p.size for p in model.parameters())} parameters, "
           f"{cfg.max_epochs} epochs, batch {cfg.batch_size}")
     trained, history = train(model,
                              (inputs[splits["train"]], targets[splits["train"]]),

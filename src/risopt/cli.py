@@ -23,6 +23,7 @@ from risopt.cnn import (
     make_model,
     predict_config,
     save_model,
+    stripe_image,
     train,
 )
 from risopt.data import (
@@ -39,6 +40,7 @@ from risopt.physics import (
     RisGeometry,
     RxSpec,
     TxSpec,
+    _check_angles,
     compute_channels,
     compute_illumination,
     objective,
@@ -89,6 +91,29 @@ def _non_negative(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
+
+
+def _split(text: str) -> tuple:
+    """argparse type: three finite ratios, each >= 0, summing to 1."""
+    ratios = _floats(3)(text)
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise argparse.ArgumentTypeError(f"ratios must be finite and >= 0, got {text!r}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
+def _angle(name: str):
+    """argparse type: a receiver ``elevation_deg`` or ``azimuth_deg`` in the
+    range ``RxSpec`` accepts."""
+    def parse(text: str) -> float:
+        value = _finite(text)
+        try:
+            _check_angles("rx", **{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def _int_from(low: int):
@@ -145,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="A,B", help="elevation range in degrees (default -60,60)")
     p.add_argument("--grid-step", type=_positive, default=1.0,
                    help="grid step in degrees (default 1)")
-    p.add_argument("--split", type=_floats(3), default=(0.6, 0.2, 0.2),
-                   metavar="TR,VA,TE", help="split ratios (default 0.6,0.2,0.2)")
+    p.add_argument("--split", type=_split, default=(0.6, 0.2, 0.2), metavar="TR,VA,TE",
+                   help="split ratios, >= 0 and summing to 1 (default 0.6,0.2,0.2)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
 
@@ -174,8 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[shared],
                        help="optimize one receiver position and save the config")
     p.add_argument("--method", required=True, choices=("im", "gim", "cnn"))
-    p.add_argument("--el", type=float, required=True, help="receiver elevation deg")
-    p.add_argument("--az", type=float, required=True, help="receiver azimuth deg")
+    p.add_argument("--el", type=_angle("elevation_deg"), required=True,
+                   help="receiver elevation in degrees, in [-90, 90]")
+    p.add_argument("--az", type=_angle("azimuth_deg"), required=True,
+                   help="receiver azimuth in degrees, in [0, 360)")
     p.add_argument("--weights", help="weights file (cnn method only)")
     p.add_argument("--config-out", default=None,
                    help="config tensor file (default config_METHOD.rist)")
@@ -193,43 +220,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _geometry(args) -> RisGeometry:
-    freq = args.freq_ghz * 1e9
-    if args.spacing is None:
-        return RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
-    return RisGeometry(args.ris_m, args.ris_n, args.spacing, args.spacing, freq)
+class _UsageError(Exception):
+    """A flag combination only a subcommand can check: exit 2."""
 
 
 _BINARY_ONLY = "--phase-states must be 2: the +1/-1 network encoding is binary-only"
 
 
-def _phase_table(args) -> tuple:
-    return tuple(360.0 * k / args.phase_states for k in range(args.phase_states))
+def _surface(args) -> tuple:
+    """Geometry, phase table, transmitter and illumination the shared flags
+    describe; a surface whose illumination overflows is a usage error."""
+    freq = args.freq_ghz * 1e9
+    if args.spacing is None:
+        geom = RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
+    else:
+        geom = RisGeometry(args.ris_m, args.ris_n, args.spacing, args.spacing, freq)
+    table = tuple(360.0 * k / args.phase_states for k in range(args.phase_states))
+    tx = TxSpec(args.tx_dist)
+    try:
+        illum = compute_illumination(geom, tx)
+    except ValueError as exc:
+        raise _UsageError(f"{exc}; check --freq-ghz, --spacing and --tx-dist") from None
+    return geom, table, tx, illum
 
 
 def cmd_generate(args) -> int:
+    geom, table, tx, _ = _surface(args)
+    if len(table) != 2:
+        raise _UsageError(_BINARY_ONLY)
     try:
-        geom = _geometry(args)
-        table = _phase_table(args)
-        if len(table) != 2:
-            raise ValueError(_BINARY_ONLY)
-        tx = TxSpec(args.tx_dist)
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],
                            args.grid_el[0], args.grid_el[1], args.grid_step)
-        ratios = args.split
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError(f"--split ratios must sum to 1, got {sum(ratios)}")
     except ValueError as exc:
-        return _usage(str(exc))
+        raise _UsageError(str(exc)) from None
 
     manifest = generate_dataset(
         geom, tx, args.rx_dist, grid, args.out,
-        phase_table=table, split_ratios=ratios, split_seed=args.seed,
+        phase_table=table, split_ratios=args.split, split_seed=args.seed,
         flat_tx_phase=args.flat_tx_phase)
     counts = manifest.counts
     print(f"samples={counts['total']} train={counts['train']} "
@@ -296,19 +323,12 @@ def cmd_eval(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.method == "cnn" and not args.weights:
-        return _usage("--method cnn requires --weights")
-    try:
-        geom = _geometry(args)
-        table = _phase_table(args)
-        if args.method == "cnn" and len(table) != 2:
-            raise ValueError(_BINARY_ONLY)
-        tx = TxSpec(args.tx_dist)
-        rx = RxSpec(args.rx_dist, args.el, args.az)
-    except ValueError as exc:
-        return _usage(str(exc))
-
-    illum = compute_illumination(geom, tx)
-    ch = compute_channels(geom, illum, rx, flat_tx_phase=args.flat_tx_phase)
+        raise _UsageError("--method cnn requires --weights")
+    geom, table, _, illum = _surface(args)
+    if args.method == "cnn" and len(table) != 2:
+        raise _UsageError(_BINARY_ONLY)
+    ch = compute_channels(geom, illum, RxSpec(args.rx_dist, args.el, args.az),
+                          flat_tx_phase=args.flat_tx_phase)
 
     if args.method == "im":
         cfg, trace = im_optimize(ch, table)
@@ -321,7 +341,8 @@ def cmd_optimize(args) -> int:
             cfg = combine_stripes(h_cfg, v_cfg, table)
         else:
             # network inference adds no configure-and-measure steps
-            cfg = predict_config(load_model(args.weights), h_cfg, v_cfg)
+            image = stripe_image(h_cfg.states, v_cfg.states)
+            cfg = predict_config(load_model(args.weights), image)
 
     out = Path(args.config_out or f"config_{args.method}.rist")
     save_tensors(out, [cfg.states.astype(np.float32)])
@@ -343,27 +364,20 @@ def pattern_csv(pat) -> str:
 
 
 def cmd_pattern(args) -> int:
-    try:
-        geom = _geometry(args)
-        table = _phase_table(args)
-        tx = TxSpec(args.tx_dist)
-        grid = AngularGrid(step_deg=args.step)
-    except ValueError as exc:
-        return _usage(str(exc))
-
+    geom, table, _, illum = _surface(args)
     records = load_tensors(args.config)
     if len(records) != 1 or records[0].ndim != 2:
         raise ValueError(f"{args.config} must hold a single 2-D config record")
     states = records[0].astype(np.int64)
     if states.max() >= len(table):
-        return _usage(f"config holds phase state {states.max()}, but --phase-states is "
-                      f"{len(table)}; pass the --phase-states it was written with")
+        raise _UsageError(f"config holds phase state {states.max()}, but --phase-states is "
+                          f"{len(table)}; pass the --phase-states it was written with")
     cfg = PhaseConfig(states, table)
     if cfg.shape != (geom.n_rows, geom.m_cols):
         raise ValueError(f"config shape {cfg.shape} does not match geometry "
                          f"({geom.n_rows}, {geom.m_cols})")
 
-    illum = compute_illumination(geom, tx)
+    grid = AngularGrid(step_deg=args.step)
     pat = radiation_pattern(geom, illum, cfg,
                             grid.elevation_values(), grid.azimuth_values())
     out = Path(args.out)
@@ -378,9 +392,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, TensorFormatError, ValueError) as exc:
+    except (_UsageError, OSError, TensorFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from risopt.optimizers import StripeConfig
 from risopt.physics import DEFAULT_PHASE_TABLE, PhaseConfig
 from risopt.tensorfile import load_tensors, save_tensors
 
@@ -37,6 +36,8 @@ DEFAULT_DROPOUT_AFTER = (3, 6)  # dropout follows conv layers 3 and 6 (1-based)
 DEFAULT_DROPOUT_RATE = 0.2
 
 MODES = ("train", "eval")
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -93,9 +94,6 @@ class Model:
                 raise ValueError("parameter shape mismatch")
             layer.weights = w
             layer.bias = b
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def copy(self) -> "Model":
         return Model([ConvLayer(l.weights.copy(), l.bias.copy()) for l in self.convs],
@@ -263,15 +261,11 @@ class AdamState:
     second_moment: list
     step_count: int
     lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
     @classmethod
-    def init(cls, params, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def init(cls, params, lr: float = 1e-3) -> "AdamState":
         return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params], 0, lr, beta1, beta2, epsilon)
+                   [np.zeros_like(p) for p in params], 0, lr)
 
 
 def adam_step(state: AdamState, params, grads) -> tuple:
@@ -279,17 +273,17 @@ def adam_step(state: AdamState, params, grads) -> tuple:
     if not (len(params) == len(grads) == len(state.first_moment)):
         raise ValueError("params/grads/state length mismatch")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t, state.lr, b1, b2, state.epsilon)
+    return new_params, AdamState(new_m, new_v, t, state.lr)
 
 
 # ------------------------------------------------------------------ training
@@ -406,25 +400,26 @@ def pm1_to_states(values: np.ndarray) -> np.ndarray:
     return (np.asarray(values) < 0).astype(np.int64)
 
 
-def stripe_image(h_cfg: StripeConfig, v_cfg: StripeConfig, phase_table) -> np.ndarray:
-    """The (H, W, 2) +1/-1 network input of a stripe pair, in either order:
-    channel 0 the horizontal stripes, channel 1 the vertical ones, each
-    expanded over the surface and sign-encoded (state 0 -> +1, 1 -> -1)."""
-    if {h_cfg.orientation, v_cfg.orientation} != {"horizontal", "vertical"}:
-        raise ValueError("need one horizontal and one vertical stripe config")
-    if h_cfg.orientation != "horizontal":
-        h_cfg, v_cfg = v_cfg, h_cfg
-    shape = (len(h_cfg.states), len(v_cfg.states))
-    return np.stack([states_to_pm1(cfg.expand(shape, phase_table).states)
-                     for cfg in (h_cfg, v_cfg)], axis=-1)
+def stripe_image(h_states, v_states) -> np.ndarray:
+    """The (H, W, 2) +1/-1 network input of a stripe pair: channel 0 holds
+    the H horizontal-stripe (row) states, constant along each row, and
+    channel 1 the W vertical-stripe (column) states, constant along each
+    column; state 0 -> +1, state 1 -> -1."""
+    h = states_to_pm1(h_states)[:, np.newaxis]
+    v = states_to_pm1(v_states)[np.newaxis, :]
+    return np.stack(np.broadcast_arrays(h, v), axis=-1)
 
 
-def predict_config(model: Model, h_cfg: StripeConfig, v_cfg: StripeConfig) -> PhaseConfig:
-    """Full binary config predicted from the two stripe search results:
-    their ``stripe_image`` through an eval-mode forward pass, sign-decoded
-    (>= 0 means phase state 0)."""
-    x = stripe_image(h_cfg, v_cfg, DEFAULT_PHASE_TABLE)
-    return PhaseConfig(pm1_to_states(model_forward(model, x, "eval")), DEFAULT_PHASE_TABLE)
+def stripe_states(image) -> tuple:
+    """The (row states, column states) a :func:`stripe_image` encodes, read
+    from its first column (channel 0) and first row (channel 1)."""
+    return pm1_to_states(image[:, 0, 0]), pm1_to_states(image[0, :, 1])
+
+
+def predict_config(model: Model, image) -> PhaseConfig:
+    """Full binary config predicted from a :func:`stripe_image`: an
+    eval-mode forward pass, sign-decoded (>= 0 means phase state 0)."""
+    return PhaseConfig(pm1_to_states(model_forward(model, image, "eval")), DEFAULT_PHASE_TABLE)
 
 
 # ------------------------------------------------------------------ weights io

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from risopt.physics import (
     RisGeometry,
     RxSpec,
     TxSpec,
+    _check_angles,
     compute_channels,
     compute_illumination,
     objective,
@@ -73,10 +74,8 @@ class AngularGrid:
             raise ValueError("elevation range is empty")
         # checked on the grid points themselves, as RxSpec will see them
         el, az = self.elevation_values(), self.azimuth_values()
-        if not (-90.0 <= el[0] and el[-1] <= 90.0):
-            raise ValueError(f"grid elevation {el[0]}..{el[-1]} must lie in [-90, 90] degrees")
-        if not (0.0 <= az[0] and az[-1] < 360.0):
-            raise ValueError(f"grid azimuth {az[0]}..{az[-1]} must lie in [0, 360) degrees")
+        _check_angles("grid", el[0], az[0])
+        _check_angles("grid", el[-1], az[-1])
 
     def azimuth_values(self) -> np.ndarray:
         return _inclusive_range(self.azimuth_start, self.azimuth_stop, self.step_deg)
@@ -124,28 +123,12 @@ class DatasetManifest:
     counts: dict
     phase_table: tuple = DEFAULT_PHASE_TABLE
     flat_tx_phase: bool = False
-    format_version: int = MANIFEST_VERSION
 
     def to_dict(self) -> dict:
-        g = self.geometry
-        return {
-            "format_version": self.format_version,
-            "geometry": {"m_cols": g.m_cols, "n_rows": g.n_rows, "dx": g.dx,
-                         "dy": g.dy, "carrier_freq": g.carrier_freq},
-            "tx": {"distance": self.tx.distance,
-                   "elevation_deg": self.tx.elevation_deg,
-                   "azimuth_deg": self.tx.azimuth_deg},
-            "rx_distance_m": self.rx_distance_m,
-            "grid": {"azimuth_start": self.grid.azimuth_start,
-                     "azimuth_stop": self.grid.azimuth_stop,
-                     "elevation_start": self.grid.elevation_start,
-                     "elevation_stop": self.grid.elevation_stop,
-                     "step_deg": self.grid.step_deg},
-            "split": {"ratios": list(self.split_ratios), "seed": self.split_seed},
-            "counts": dict(self.counts),
-            "phase_table": list(self.phase_table),
-            "flat_tx_phase": self.flat_tx_phase,
-        }
+        d = asdict(self)
+        d["split"] = {"ratios": d.pop("split_ratios"), "seed": d.pop("split_seed")}
+        d["format_version"] = MANIFEST_VERSION
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
@@ -181,7 +164,7 @@ def split_dataset(count: int, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
     if count < 1:
         raise ValueError("nothing to split")
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios):
         raise ValueError("need three non-negative ratios")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
@@ -203,7 +186,7 @@ def encode_sample(sample: Sample):
 
     State 0 maps to +1 and state 1 to -1 in every channel.
     """
-    x = stripe_image(sample.h_cfg, sample.v_cfg, sample.ref_cfg.phase_table)
+    x = stripe_image(sample.h_cfg.states, sample.v_cfg.states)
     return x, states_to_pm1(sample.ref_cfg.states)
 
 

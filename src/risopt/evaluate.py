@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from risopt.cnn import Model, pm1_to_states, predict_config
+from risopt.cnn import Model, pm1_to_states, predict_config, stripe_states
 from risopt.data import _write_json, load_arrays, load_manifest, load_sample_rows, load_splits
 from risopt.optimizers import StripeConfig, combine_stripes
 from risopt.physics import (
@@ -84,11 +84,13 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
                    noise_seed: int = 0) -> EvalReport:
     """Score one split of a dataset directory with a trained model.
 
-    Stripe and reference configs are decoded from the stored tensor
-    files; channels are recomputed from the manifest geometry, so the
-    report is self-contained.  With ``noise_snr_db`` set, powers come
-    from a seeded noisy link simulation (1000 unit symbols at that SNR
-    relative to the reference config) instead of the noiseless formula.
+    The model scores each stored input image as it is; the stripe pair
+    for the combined config is decoded from that image and the reference
+    config from the stored target.  Channels are recomputed from the
+    manifest geometry, so the report is self-contained.  With
+    ``noise_snr_db`` set, powers come from a seeded noisy link simulation
+    (1000 unit symbols at that SNR relative to the reference config)
+    instead of the noiseless formula.
     """
     manifest = load_manifest(data_dir)
     splits = load_splits(data_dir)
@@ -112,10 +114,10 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         ch = compute_channels(geom, illum, RxSpec(manifest.rx_distance_m, el, az),
                               flat_tx_phase=manifest.flat_tx_phase)
         ref = PhaseConfig(pm1_to_states(targets[idx]), table)
-        h_cfg = StripeConfig("horizontal", pm1_to_states(inputs[idx, :, 0, 0]))
-        v_cfg = StripeConfig("vertical", pm1_to_states(inputs[idx, 0, :, 1]))
-        combined = combine_stripes(h_cfg, v_cfg, table)
-        predicted = predict_config(model, h_cfg, v_cfg)
+        h_states, v_states = stripe_states(inputs[idx])
+        combined = combine_stripes(StripeConfig("horizontal", h_states),
+                                   StripeConfig("vertical", v_states), table)
+        predicted = predict_config(model, inputs[idx])
 
         if noise_snr_db is None:
             p_im = power_db(objective(ch, ref))
@@ -139,18 +141,3 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
             "gap_cnn_db": p_im - p_cnn,
         })
     return EvalReport(rows, _summarize(rows))
-
-
-def load_report_csv(path) -> list:
-    """Rows of a report CSV as dicts of floats (inverse of to_csv)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    header = tuple(lines[0].split(","))
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected report header {header!r}")
-    out = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        if len(vals) != len(CSV_COLUMNS):
-            raise ValueError("ragged report row")
-        out.append({c: float(v) for c, v in zip(CSV_COLUMNS, vals)})
-    return out

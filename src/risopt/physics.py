@@ -44,7 +44,7 @@ def direction_cosines(elevation_deg, azimuth_deg):
     return sin_t * np.cos(p), sin_t * np.sin(p)
 
 
-def _check_angles(name: str, elevation_deg: float, azimuth_deg: float) -> None:
+def _check_angles(name: str, elevation_deg: float = 0.0, azimuth_deg: float = 0.0) -> None:
     if not -90.0 <= elevation_deg <= 90.0:
         raise ValueError(f"{name} elevation {elevation_deg} must lie in [-90, 90] degrees")
     if not 0.0 <= azimuth_deg < 360.0:
@@ -169,11 +169,6 @@ class PhaseConfig:
     def phases_rad(self) -> np.ndarray:
         return np.deg2rad(self.phases_deg())
 
-    def with_state(self, row: int, col: int, state: int) -> "PhaseConfig":
-        states = self.states.copy()
-        states[row, col] = state
-        return PhaseConfig(states, self.phase_table)
-
 
 @dataclass(frozen=True)
 class Illumination:
@@ -225,17 +220,22 @@ def compute_illumination(geom: RisGeometry, tx: TxSpec) -> Illumination:
     For each element at lattice position p and Tx-to-element distance r:
     amplitude ``wavelength / (4 pi r)``, phase ``-k0 * r``, and
     ``cos_inc`` the cosine of the angle between the element boresight
-    (+z) and the direction from the element to the Tx.
+    (+z) and the direction from the element to the Tx.  A surface or Tx
+    distance so large (or a carrier so low) that any of these overflows
+    is rejected.
     """
-    x = geom.element_x()[np.newaxis, :]
-    y = geom.element_y()[:, np.newaxis]
     tx_pos = tx.position()
-    r = np.sqrt((tx_pos[0] - x) ** 2 + (tx_pos[1] - y) ** 2 + tx_pos[2] ** 2)
-    if np.any(r == 0):
-        raise ValueError("tx position coincides with a surface element")
-    amp = geom.wavelength / (4 * np.pi * r)
-    phase = -geom.k0 * r
-    cos_inc = tx_pos[2] / r
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x = geom.element_x()[np.newaxis, :]
+        y = geom.element_y()[:, np.newaxis]
+        r = np.sqrt((tx_pos[0] - x) ** 2 + (tx_pos[1] - y) ** 2 + tx_pos[2] ** 2)
+        if np.any(r == 0):
+            raise ValueError("tx position coincides with a surface element")
+        amp = geom.wavelength / (4 * np.pi * r)
+        phase = -geom.k0 * r
+        cos_inc = tx_pos[2] / r
+    if not all(np.isfinite(a).all() for a in (amp, phase, cos_inc)):
+        raise ValueError("the surface illumination is not finite")
     return Illumination(amp, phase, cos_inc)
 
 

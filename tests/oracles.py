@@ -1,6 +1,11 @@
 """Reference helpers shared by the test modules."""
 
+from pathlib import Path
+
 import numpy as np
+
+from risopt.evaluate import CSV_COLUMNS
+from risopt.physics import PhaseConfig
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -24,3 +29,30 @@ def flip_delta(ch, cfg, row, col, new_state, current_sum):
     old_phase = np.deg2rad(table[old_state])
     new_phase = np.deg2rad(table[new_state])
     return current_sum + hg * (np.exp(1j * new_phase) - np.exp(1j * old_phase))
+
+
+def with_state(cfg, row, col, state):
+    """A copy of ``cfg`` with element (row, col) switched to ``state``."""
+    states = cfg.states.copy()
+    states[row, col] = state
+    return PhaseConfig(states, cfg.phase_table)
+
+
+def num_parameters(model):
+    """Total weight and bias count of a ``cnn.Model``."""
+    return sum(p.size for p in model.parameters())
+
+
+def load_report_csv(path) -> list:
+    """Rows of a report CSV as dicts of floats (inverse of ``EvalReport.to_csv``)."""
+    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    header = tuple(lines[0].split(","))
+    if header != CSV_COLUMNS:
+        raise ValueError(f"unexpected report header {header!r}")
+    out = []
+    for line in lines[1:]:
+        vals = line.split(",")
+        if len(vals) != len(CSV_COLUMNS):
+            raise ValueError("ragged report row")
+        out.append({c: float(v) for c, v in zip(CSV_COLUMNS, vals)})
+    return out

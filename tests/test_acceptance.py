@@ -50,7 +50,7 @@ from risopt.optimizers import (
 )
 from risopt.physics import SPEED_OF_LIGHT
 
-from oracles import flip_delta
+from oracles import flip_delta, with_state
 
 
 def report(capsys, line):
@@ -174,7 +174,7 @@ def test_physics_matches_naive_oracles(capsys):
             col = int(flip_rng.integers(0, geom.m_cols))
             new_state = int(flip_rng.integers(0, 2))
             updated = flip_delta(ch, cfg, row, col, new_state, current)
-            cfg = cfg.with_state(row, col, new_state)
+            cfg = with_state(cfg, row, col, new_state)
             full = cascade_gain(ch, cfg)
             flip_worst = max(flip_worst,
                              abs(updated - full) / max(abs(full), 1e-30))

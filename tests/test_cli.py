@@ -5,6 +5,7 @@ pattern once on a small 8x8 surface; individual tests then assert exit
 codes, printed step counts, and file contents.
 """
 
+import argparse
 import json
 import os
 import re
@@ -18,7 +19,6 @@ import pytest
 from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
 from risopt.data import AngularGrid, load_manifest, load_splits
-from risopt.evaluate import load_report_csv
 from risopt.physics import (
     PatternGrid,
     PhaseConfig,
@@ -28,6 +28,8 @@ from risopt.physics import (
     radiation_pattern,
 )
 from risopt.tensorfile import load_tensors
+
+from oracles import load_report_csv, num_parameters
 
 BASE = ["--ris-m", "8", "--ris-n", "8", "--freq-ghz", "10",
         "--tx-dist", "0.6", "--rx-dist", "4.0"]
@@ -86,10 +88,14 @@ def test_help_exits_zero():
     assert err.value.code == 0
 
 
-def test_generate_bad_split_sum(tmp_path):
-    code = main(["generate", *BASE, "--grid-step", "20", "--split", "0.5,0.2,0.2",
-                 "--out", str(tmp_path / "d")])
-    assert code == 2
+def test_generate_bad_split_sum(tmp_path, capsys):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as err:
+        main(["generate", *BASE, "--grid-step", "20", "--split", "0.5,0.2,0.2",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --split: ratios must sum to 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_bad_phase_states(tmp_path, capsys):
@@ -135,7 +141,7 @@ def test_generate_wrote_full_dataset(pipeline):
 
 def test_train_wrote_weights_history_and_run(pipeline):
     model = load_model(pipeline["weights"])
-    assert model.num_parameters() == 317_645
+    assert num_parameters(model) == 317_645
 
     history = (pipeline["root"] / "net_history.csv").read_text(encoding="utf-8")
     lines = history.strip().split("\n")
@@ -231,10 +237,12 @@ def test_optimize_cnn_non_binary_phase_states_fails_fast(pipeline, capsys):
 @pytest.mark.parametrize("el, az, angle", [("95", "80", "elevation"), ("20", "400", "azimuth")])
 def test_optimize_out_of_range_angle_is_usage_error(pipeline, capsys, el, az, angle):
     out = pipeline["root"] / "bad_angle.rist"
-    code = main(["optimize", *BASE, "--method", "gim", "--el", el, "--az", az,
-                 "--config-out", str(out)])
-    assert code == 2
-    assert f"rx {angle}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", *BASE, "--method", "gim", "--el", el, "--az", az,
+              "--config-out", str(out)])
+    assert err.value.code == 2
+    flag = "--el" if angle == "elevation" else "--az"
+    assert f"argument {flag}: rx {angle}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -459,6 +467,14 @@ _BAD_FLAGS = {
     ("eval", "--snr-db", "nan", "must be finite"),
     ("eval", "--snr-db", "-inf", "must be finite"),
     ("eval", "--snr-db", "inf", "must be finite"),
+    ("generate", "--split", "-0.2,0.6,0.6", "ratios must be finite and >= 0"),
+    ("generate", "--split", "nan,0.5,0.5", "ratios must be finite and >= 0"),
+    ("generate", "--split", "0.5,0.5,inf", "ratios must be finite and >= 0"),
+    ("optimize", "--el", "-90.5", "rx elevation -90.5 must lie"),
+    ("optimize", "--el", "nan", "must be finite"),
+    ("optimize", "--az", "360", "rx azimuth 360.0 must lie in [0, 360) degrees"),
+    ("optimize", "--az", "-1", "rx azimuth -1.0 must lie"),
+    ("optimize", "--az", "inf", "must be finite"),
 ])
 def test_bad_flag_is_named_at_parse_time(tmp_path, capsys, command, flag, value, message):
     argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
@@ -467,3 +483,30 @@ def test_bad_flag_is_named_at_parse_time(tmp_path, capsys, command, flag, value,
     assert err.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "pattern"])
+@pytest.mark.parametrize("flag, value", [
+    ("--freq-ghz", "1e-320"),  # 1e-311 Hz: the half wavelength overflows
+    ("--spacing", "1e308"),
+    ("--tx-dist", "1e200"),
+])
+def test_non_finite_surface_is_usage_error(tmp_path, capsys, command, flag, value):
+    # each value passes its own flag check but overflows the illumination
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    assert main([*argv, f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "illumination is not finite; check --freq-ghz, --spacing and --tx-dist" in err
+    assert "Warning" not in err
+    # checked before any file is read or written
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_numeric_flag_has_a_checked_type():
+    # a bare float or int type lets nan, inf and out-of-range values past
+    # parsing, to fail later with a message that names no flag
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            assert action.type not in (float, int), (command, action.option_strings)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risopt.cnn import (
     AdamState,
@@ -18,9 +20,13 @@ from risopt.cnn import (
     predict_config,
     save_model,
     states_to_pm1,
+    stripe_image,
+    stripe_states,
     train,
 )
 from risopt.optimizers import StripeConfig
+
+from oracles import num_parameters
 
 
 # ---------------------------------------------------------------- oracles
@@ -115,7 +121,7 @@ def test_default_architecture():
     assert [c.weights.shape[0] for c in convs] == [3, 3, 3, 5, 5, 3, 3, 3]
     assert model.dropout_after == (3, 6)
     assert model.dropout_rate == 0.2
-    assert model.num_parameters() == 317_645
+    assert num_parameters(model) == 317_645
 
 
 def test_glorot_init_bounds_and_zero_bias():
@@ -499,33 +505,43 @@ def _center_tap_model(channel: int) -> Model:
     return Model([ConvLayer(w, np.zeros(1))])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=9),
+       st.lists(st.integers(0, 1), min_size=1, max_size=9))
+@example([1], [0, 1, 1])  # one row
+@example([0, 1, 0], [1])  # one column
+@example([1, 0], [0, 1, 1, 0, 1])  # wider than tall
+def test_stripe_image_matches_expanded_stripe_configs(h_bits, v_bits):
+    # the encoding stripe_image replaced: expand each StripeConfig to a full
+    # config, then sign-encode it as one channel
+    shape = (len(h_bits), len(v_bits))
+    image = stripe_image(np.array(h_bits), np.array(v_bits))
+    assert image.shape == (*shape, 2)
+    assert image.dtype == np.float64
+    for channel, cfg in enumerate((StripeConfig("horizontal", h_bits),
+                                   StripeConfig("vertical", v_bits))):
+        np.testing.assert_array_equal(image[:, :, channel],
+                                      states_to_pm1(cfg.expand(shape).states))
+    h_states, v_states = stripe_states(image)
+    np.testing.assert_array_equal(h_states, h_bits)
+    np.testing.assert_array_equal(v_states, v_bits)
+
+
 def test_predict_config_channel_copy_model():
     rng = np.random.default_rng(31)
     h = StripeConfig("horizontal", rng.integers(0, 2, 5))
     v = StripeConfig("vertical", rng.integers(0, 2, 4))
-    got = predict_config(_center_tap_model(0), h, v)
+    image = stripe_image(h.states, v.states)
+    got = predict_config(_center_tap_model(0), image)
     np.testing.assert_array_equal(got.states, h.expand((5, 4)).states)
-    got = predict_config(_center_tap_model(1), h, v)
+    got = predict_config(_center_tap_model(1), image)
     np.testing.assert_array_equal(got.states, v.expand((5, 4)).states)
-    # argument order is free
-    got = predict_config(_center_tap_model(0), v, h)
-    np.testing.assert_array_equal(got.states, h.expand((5, 4)).states)
 
 
 def test_predict_config_zero_output_is_all_zero_state():
     model = Model([ConvLayer(np.zeros((3, 3, 2, 1)), np.zeros(1))])
-    h = StripeConfig("horizontal", np.ones(4, dtype=int))
-    v = StripeConfig("vertical", np.ones(4, dtype=int))
-    cfg = predict_config(model, h, v)
+    cfg = predict_config(model, stripe_image(np.ones(4, dtype=int), np.ones(4, dtype=int)))
     np.testing.assert_array_equal(cfg.states, np.zeros((4, 4)))
-
-
-def test_predict_config_orientation_validation():
-    model = _center_tap_model(0)
-    a = StripeConfig("horizontal", np.zeros(4, dtype=int))
-    b = StripeConfig("horizontal", np.zeros(4, dtype=int))
-    with pytest.raises(ValueError):
-        predict_config(model, a, b)
 
 
 # ---------------------------------------------------------------- weights io

@@ -139,6 +139,9 @@ def test_split_ratio_validation():
         split_dataset(10, (0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         split_dataset(10, (0.8, -0.2, 0.4))
+    # NaN passes both a "< 0" test and the sum tolerance
+    with pytest.raises(ValueError, match="non-negative"):
+        split_dataset(10, (float("nan"), 0.5, 0.5))
     with pytest.raises(ValueError):
         split_dataset(0)
 

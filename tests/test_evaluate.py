@@ -17,7 +17,6 @@ from risopt.evaluate import (
     CSV_COLUMNS,
     _summarize,
     evaluate_split,
-    load_report_csv,
     power_db,
 )
 from risopt.optimizers import StripeConfig, combine_stripes
@@ -32,6 +31,8 @@ from risopt.physics import (
     objective,
 )
 from risopt.tensorfile import save_tensors
+
+from oracles import load_report_csv
 
 GEOM = RisGeometry.half_wavelength(6, 6, 10e9)
 TX = TxSpec(0.6)

@@ -26,7 +26,7 @@ from risopt.optimizers import (
     step_count,
 )
 
-from oracles import flip_delta
+from oracles import flip_delta, with_state
 
 
 def random_channels(rng, n_rows, m_cols):
@@ -87,11 +87,11 @@ def reference_im(ch, table, init, *, use_incremental):
                 if use_incremental:
                     cand_sum = flip_delta(ch, cfg, row, col, state, current)
                 else:
-                    cand_sum = cascade_gain(ch, cfg.with_state(row, col, state))
+                    cand_sum = cascade_gain(ch, with_state(cfg, row, col, state))
                 cand = abs(cand_sum)
                 if cand > best:
                     best = cand
-                    cfg = cfg.with_state(row, col, state)
+                    cfg = with_state(cfg, row, col, state)
                     current = cand_sum
                 history.append(best)
     return cfg, OptimizeTrace(len(history), np.array(history), best)

@@ -28,7 +28,7 @@ from risopt import (
 from risopt import physics
 from risopt.physics import SPEED_OF_LIGHT, direction_cosines
 
-from oracles import flip_delta
+from oracles import flip_delta, with_state
 
 
 # ---------------------------------------------------------------- oracles
@@ -180,7 +180,7 @@ def test_direction_unit_matches_oracle():
 def test_phase_config_lookup_and_copy():
     cfg = PhaseConfig(np.array([[0, 1], [1, 0]]))
     np.testing.assert_array_equal(cfg.phases_deg(), [[0.0, 180.0], [180.0, 0.0]])
-    cfg2 = cfg.with_state(0, 0, 1)
+    cfg2 = with_state(cfg, 0, 0, 1)
     assert cfg2.states[0, 0] == 1
     assert cfg.states[0, 0] == 0  # original untouched
     assert cfg.num_states == 2
@@ -435,7 +435,7 @@ def test_flip_delta_matches_recompute():
             col = int(rng.integers(0, geom.m_cols))
             new_state = int(rng.integers(0, cfg.num_states))
             updated = flip_delta(ch, cfg, row, col, new_state, current)
-            cfg = cfg.with_state(row, col, new_state)
+            cfg = with_state(cfg, row, col, new_state)
             full = cascade_gain(ch, cfg)
             assert abs(updated - full) <= 1e-9 * max(abs(full), 1e-30)
             current = updated
