@@ -40,9 +40,9 @@ def main():
 
         best_cfg, _ = exhaustive_optimize(ch)
         im_cfg, _ = im_optimize(ch)
-        h_cfg, _ = gim_optimize(ch, orientation="horizontal")
-        v_cfg, _ = gim_optimize(ch, orientation="vertical")
-        gim_cfg = combine_stripes(h_cfg, v_cfg)
+        h_states, _ = gim_optimize(ch, orientation="horizontal")
+        v_states, _ = gim_optimize(ch, orientation="vertical")
+        gim_cfg = combine_stripes(h_states, v_states)
 
         p_best = power_db(objective(ch, best_cfg))
         p_im = power_db(objective(ch, im_cfg))

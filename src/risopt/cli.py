@@ -252,12 +252,11 @@ def cmd_generate(args) -> int:
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],
                            args.grid_el[0], args.grid_el[1], args.grid_step)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise _UsageError(f"{exc}; check --grid-az, --grid-el and --grid-step") from None
 
     manifest = generate_dataset(
         geom, tx, args.rx_dist, grid, args.out,
-        phase_table=table, split_ratios=args.split, split_seed=args.seed,
-        flat_tx_phase=args.flat_tx_phase)
+        split_ratios=args.split, split_seed=args.seed, flat_tx_phase=args.flat_tx_phase)
     counts = manifest.counts
     print(f"samples={counts['total']} train={counts['train']} "
           f"val={counts['val']} test={counts['test']}")
@@ -334,14 +333,14 @@ def cmd_optimize(args) -> int:
         cfg, trace = im_optimize(ch, table)
         steps = trace.steps
     else:
-        h_cfg, tr_h = gim_optimize(ch, table, "horizontal")
-        v_cfg, tr_v = gim_optimize(ch, table, "vertical")
+        h_states, tr_h = gim_optimize(ch, table, "horizontal")
+        v_states, tr_v = gim_optimize(ch, table, "vertical")
         steps = tr_h.steps + tr_v.steps
         if args.method == "gim":
-            cfg = combine_stripes(h_cfg, v_cfg, table)
+            cfg = combine_stripes(h_states, v_states, table)
         else:
             # network inference adds no configure-and-measure steps
-            image = stripe_image(h_cfg.states, v_cfg.states)
+            image = stripe_image(h_states, v_states)
             cfg = predict_config(load_model(args.weights), image)
 
     out = Path(args.config_out or f"config_{args.method}.rist")
@@ -365,19 +364,24 @@ def pattern_csv(pat) -> str:
 
 def cmd_pattern(args) -> int:
     geom, table, _, illum = _surface(args)
+    try:
+        grid = AngularGrid(step_deg=args.step)
+    except ValueError as exc:
+        raise _UsageError(f"{exc}; check --step") from None
     records = load_tensors(args.config)
-    if len(records) != 1 or records[0].ndim != 2:
-        raise ValueError(f"{args.config} must hold a single 2-D config record")
-    states = records[0].astype(np.int64)
+    if len(records) != 1 or records[0].shape != (geom.n_rows, geom.m_cols):
+        raise ValueError(f"{args.config} does not match the geometry: expected a single "
+                         f"({geom.n_rows}, {geom.m_cols}) config record")
+    values = records[0]
+    if not np.all(np.isfinite(values) & (values == np.round(values)) & (values >= 0)):
+        raise ValueError(f"{args.config} holds values that are not phase state "
+                         "indices (integers >= 0)")
+    states = values.astype(np.int64)
     if states.max() >= len(table):
         raise _UsageError(f"config holds phase state {states.max()}, but --phase-states is "
                           f"{len(table)}; pass the --phase-states it was written with")
     cfg = PhaseConfig(states, table)
-    if cfg.shape != (geom.n_rows, geom.m_cols):
-        raise ValueError(f"config shape {cfg.shape} does not match geometry "
-                         f"({geom.n_rows}, {geom.m_cols})")
 
-    grid = AngularGrid(step_deg=args.step)
     pat = radiation_pattern(geom, illum, cfg,
                             grid.elevation_values(), grid.azimuth_values())
     out = Path(args.out)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.cnn import states_to_pm1, stripe_image
-from risopt.optimizers import StripeConfig, combine_stripes, gim_optimize, im_optimize
+from risopt.optimizers import combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
     DEFAULT_PHASE_TABLE,
     PhaseConfig,
@@ -45,10 +45,15 @@ MANIFEST_VERSION = 1
 
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 
+MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays and CSV near 2 GB
+
+
+def _count(start: float, stop: float, step: float) -> int:
+    return int(math.floor((stop - start) / step + 1e-9)) + 1
+
 
 def _inclusive_range(start: float, stop: float, step: float) -> np.ndarray:
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    return start + step * np.arange(_count(start, stop, step))
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,12 @@ class AngularGrid:
             raise ValueError("azimuth range is empty")
         if self.elevation_stop < self.elevation_start:
             raise ValueError("elevation range is empty")
+        # counted in floats before any array is built: a tiny step overflows to inf
+        points = ((self.azimuth_stop - self.azimuth_start) / self.step_deg + 1) * (
+            (self.elevation_stop - self.elevation_start) / self.step_deg + 1)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"grid step {self.step_deg} gives more than the "
+                             f"{MAX_GRID_POINTS} points a grid may hold")
         # checked on the grid points themselves, as RxSpec will see them
         el, az = self.elevation_values(), self.azimuth_values()
         _check_angles("grid", el[0], az[0])
@@ -85,7 +96,8 @@ class AngularGrid:
 
     @property
     def num_points(self) -> int:
-        return len(self.azimuth_values()) * len(self.elevation_values())
+        return (_count(self.azimuth_start, self.azimuth_stop, self.step_deg)
+                * _count(self.elevation_start, self.elevation_stop, self.step_deg))
 
     def points(self):
         """(azimuth, elevation) pairs, azimuth-major raster order."""
@@ -98,8 +110,8 @@ class AngularGrid:
 class Sample:
     """One receiver direction with its stripe and reference solutions."""
 
-    h_cfg: StripeConfig
-    v_cfg: StripeConfig
+    h_states: np.ndarray  # one state per row
+    v_states: np.ndarray  # one state per column
     ref_cfg: PhaseConfig
     elevation_deg: float
     azimuth_deg: float
@@ -108,12 +120,15 @@ class Sample:
 
     def __post_init__(self):
         n_rows, m_cols = self.ref_cfg.shape
-        if len(self.h_cfg.states) != n_rows or len(self.v_cfg.states) != m_cols:
+        if len(self.h_states) != n_rows or len(self.v_states) != m_cols:
             raise ValueError("stripe lengths do not match the reference config")
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """Dataset metadata.  Every dataset uses the 0/180 table, the only one
+    the +1/-1 tensor encoding represents; the file still names it."""
+
     geometry: RisGeometry
     tx: TxSpec
     rx_distance_m: float
@@ -121,12 +136,12 @@ class DatasetManifest:
     split_ratios: tuple
     split_seed: int
     counts: dict
-    phase_table: tuple = DEFAULT_PHASE_TABLE
     flat_tx_phase: bool = False
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["split"] = {"ratios": d.pop("split_ratios"), "seed": d.pop("split_seed")}
+        d["phase_table"] = list(DEFAULT_PHASE_TABLE)
         d["format_version"] = MANIFEST_VERSION
         return d
 
@@ -134,6 +149,9 @@ class DatasetManifest:
     def from_dict(cls, d: dict) -> "DatasetManifest":
         if d.get("format_version") != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {d.get('format_version')!r}")
+        if tuple(d.get("phase_table", ())) != DEFAULT_PHASE_TABLE:
+            raise ValueError(f"unsupported phase table {d.get('phase_table')!r}; "
+                             f"datasets use {list(DEFAULT_PHASE_TABLE)}")
         return cls(
             geometry=RisGeometry(**d["geometry"]),
             # older manifests also carry an unused tx_power_amp, which is ignored
@@ -143,7 +161,6 @@ class DatasetManifest:
             split_ratios=tuple(d["split"]["ratios"]),
             split_seed=int(d["split"]["seed"]),
             counts=dict(d["counts"]),
-            phase_table=tuple(d["phase_table"]),
             flat_tx_phase=bool(d["flat_tx_phase"]),
         )
 
@@ -186,21 +203,20 @@ def encode_sample(sample: Sample):
 
     State 0 maps to +1 and state 1 to -1 in every channel.
     """
-    x = stripe_image(sample.h_cfg.states, sample.v_cfg.states)
+    x = stripe_image(sample.h_states, sample.v_states)
     return x, states_to_pm1(sample.ref_cfg.states)
 
 
-def generate_sample(geom, illum, rx: RxSpec, phase_table=DEFAULT_PHASE_TABLE,
-                    *, flat_tx_phase: bool = False) -> Sample:
+def generate_sample(geom, illum, rx: RxSpec, *, flat_tx_phase: bool = False) -> Sample:
     """Run both stripe searches and the element-wise reference at one angle."""
     ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
-    h_cfg, _ = gim_optimize(ch, phase_table, "horizontal")
-    v_cfg, _ = gim_optimize(ch, phase_table, "vertical")
-    ref_cfg, _ = im_optimize(ch, phase_table)
-    combined = combine_stripes(h_cfg, v_cfg, phase_table)
+    h_states, _ = gim_optimize(ch, orientation="horizontal")
+    v_states, _ = gim_optimize(ch, orientation="vertical")
+    ref_cfg, _ = im_optimize(ch)
+    combined = combine_stripes(h_states, v_states)
     return Sample(
-        h_cfg=h_cfg,
-        v_cfg=v_cfg,
+        h_states=h_states,
+        v_states=v_states,
         ref_cfg=ref_cfg,
         elevation_deg=rx.elevation_deg,
         azimuth_deg=rx.azimuth_deg,
@@ -216,7 +232,6 @@ def generate_dataset(
     grid: AngularGrid,
     out_dir,
     *,
-    phase_table=DEFAULT_PHASE_TABLE,
     split_ratios=DEFAULT_SPLIT,
     split_seed: int = 0,
     flat_tx_phase: bool = False,
@@ -234,7 +249,7 @@ def generate_dataset(
     inputs, targets, rows = [], [], []
     for i, (az, el) in enumerate(grid.points()):
         sample = generate_sample(geom, illum, RxSpec(rx_distance, el, az),
-                                 phase_table, flat_tx_phase=flat_tx_phase)
+                                 flat_tx_phase=flat_tx_phase)
         x, y = encode_sample(sample)
         inputs.append(x)
         targets.append(y)
@@ -256,7 +271,6 @@ def generate_dataset(
         split_seed=split_seed,
         counts={"total": total, "train": len(splits["train"]),
                 "val": len(splits["val"]), "test": len(splits["test"])},
-        phase_table=tuple(float(v) for v in phase_table),
         flat_tx_phase=flat_tx_phase,
     )
 

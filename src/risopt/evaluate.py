@@ -18,7 +18,7 @@ import numpy as np
 
 from risopt.cnn import Model, pm1_to_states, predict_config, stripe_states
 from risopt.data import _write_json, load_arrays, load_manifest, load_sample_rows, load_splits
-from risopt.optimizers import StripeConfig, combine_stripes
+from risopt.optimizers import combine_stripes
 from risopt.physics import (
     DB_FLOOR,
     PhaseConfig,
@@ -96,6 +96,8 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
     splits = load_splits(data_dir)
     if split not in splits:
         raise ValueError(f"unknown split {split!r}")
+    if not splits[split]:
+        raise ValueError(f"split {split!r} of {data_dir} has no samples to score")
     sample_rows = load_sample_rows(data_dir)
     inputs, targets = load_arrays(data_dir)
     if inputs.shape[1:3] != (manifest.geometry.n_rows, manifest.geometry.m_cols):
@@ -104,7 +106,6 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         raise ValueError("model does not take 2-channel stripe inputs")
 
     geom = manifest.geometry
-    table = manifest.phase_table
     illum = compute_illumination(geom, manifest.tx)
 
     rows = []
@@ -113,10 +114,8 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         az, el = meta["azimuth_deg"], meta["elevation_deg"]
         ch = compute_channels(geom, illum, RxSpec(manifest.rx_distance_m, el, az),
                               flat_tx_phase=manifest.flat_tx_phase)
-        ref = PhaseConfig(pm1_to_states(targets[idx]), table)
-        h_states, v_states = stripe_states(inputs[idx])
-        combined = combine_stripes(StripeConfig("horizontal", h_states),
-                                   StripeConfig("vertical", v_states), table)
+        ref = PhaseConfig(pm1_to_states(targets[idx]))
+        combined = combine_stripes(*stripe_states(inputs[idx]))
         predicted = predict_config(model, inputs[idx])
 
         if noise_snr_db is None:

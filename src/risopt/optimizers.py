@@ -7,9 +7,10 @@ the objective after each step is recorded in the trace.
 ``im_optimize`` sweeps each element once in raster order and tries every
 reflection state per element (M*N*P steps).  ``gim_optimize`` sweeps
 whole rows or whole columns instead (N*P or M*P steps) so a horizontal
-and a vertical run together cost only (M+N)*P steps; the two stripe
-results are merged into a full per-element configuration by
-``combine_stripes``.  ``exhaustive_optimize`` enumerates every
+and a vertical run together cost only (M+N)*P steps; each returns a plain
+int64 state vector (one state per row, or per column), and
+``combine_stripes(h_states, v_states)`` merges the pair, rows first, into
+a full per-element configuration.  ``exhaustive_optimize`` enumerates every
 configuration and serves as a ground-truth oracle on tiny instances.
 
 All greedy commits require strict improvement; ties keep the incumbent
@@ -29,8 +30,6 @@ from risopt.physics import (
     cascade_gain,
     objective,
 )
-
-ORIENTATIONS = ("horizontal", "vertical")
 
 EXHAUSTIVE_LIMIT = 2**24  # max number of enumerated configurations
 
@@ -54,35 +53,6 @@ class OptimizeTrace:
             raise ValueError("history length must equal the step count")
         if len(history) and np.any(np.diff(history) < 0):
             raise ValueError("best-objective history must be non-decreasing")
-
-
-@dataclass(frozen=True)
-class StripeConfig:
-    """One state index per row (horizontal) or per column (vertical)."""
-
-    orientation: str
-    states: np.ndarray
-
-    def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-        states = np.asarray(self.states, dtype=np.int64)
-        if states.ndim != 1:
-            raise ValueError("stripe states must be a 1-D vector")
-        object.__setattr__(self, "states", states)
-
-    def expand(self, shape: tuple, phase_table=DEFAULT_PHASE_TABLE) -> PhaseConfig:
-        """Full per-element config with constant rows (or columns)."""
-        n_rows, m_cols = shape
-        if self.orientation == "horizontal":
-            if len(self.states) != n_rows:
-                raise ValueError(f"expected {n_rows} row states, got {len(self.states)}")
-            full = np.repeat(self.states[:, np.newaxis], m_cols, axis=1)
-        else:
-            if len(self.states) != m_cols:
-                raise ValueError(f"expected {m_cols} column states, got {len(self.states)}")
-            full = np.repeat(self.states[np.newaxis, :], n_rows, axis=0)
-        return PhaseConfig(full, phase_table)
 
 
 def _normalize_table(phase_table) -> tuple:
@@ -151,6 +121,9 @@ def gim_optimize(
 ) -> tuple:
     """Stripe-wise greedy search over rows (horizontal) or columns (vertical).
 
+    Returns ``(states, trace)``: ``states`` is an int64 vector of N row
+    states (horizontal) or M column states (vertical).
+
     All elements start at state 0 and the best objective starts at -inf,
     so the very first evaluation always registers.  For each stripe, each
     state is applied to the whole stripe with every other stripe held at
@@ -160,8 +133,8 @@ def gim_optimize(
     like ``im_optimize``, the loop runs on plain Python scalars.
     """
     table = _normalize_table(phase_table)
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+    if orientation not in ("horizontal", "vertical"):
+        raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
     hg = ch.h * ch.g
     # total cascade contribution of each stripe (all its elements share a state)
@@ -186,26 +159,27 @@ def gim_optimize(
             history.append(best)
         states.append(committed)
     trace = OptimizeTrace(len(history), np.array(history), best)
-    return StripeConfig(orientation, states), trace
+    return np.array(states, dtype=np.int64), trace
 
 
-def combine_stripes(first: StripeConfig, second: StripeConfig, phase_table=DEFAULT_PHASE_TABLE) -> PhaseConfig:
-    """Merge one horizontal and one vertical stripe config into a full one.
+def combine_stripes(h_states, v_states, phase_table=DEFAULT_PHASE_TABLE) -> PhaseConfig:
+    """Merge the row states of a horizontal stripe search and the column
+    states of a vertical one into a full config.
 
-    Element (row n, column m) takes the phase of the horizontal config at
-    row n plus the phase of the vertical config at column m, modulo 360,
-    snapped to the nearest table entry (lowest index on ties).  For the
-    two-state 0/180 table this is exactly the XOR of the state bits.
+    Element (row n, column m) takes the phase of row state n plus the
+    phase of column state m, modulo 360, snapped to the nearest table
+    entry (lowest index on ties).  For the two-state 0/180 table this is
+    exactly the XOR of the state bits.
     """
-    if {first.orientation, second.orientation} != set(ORIENTATIONS):
-        raise ValueError("need exactly one horizontal and one vertical stripe config")
-    h_cfg, v_cfg = (first, second) if first.orientation == "horizontal" else (second, first)
     table = _normalize_table(phase_table)
     tbl = np.asarray(table)
-    for cfg in (h_cfg, v_cfg):
-        if cfg.states.size and cfg.states.max() >= len(table):
-            raise ValueError(f"{cfg.orientation} states exceed phase_table")
-    total = (tbl[h_cfg.states][:, np.newaxis] + tbl[v_cfg.states][np.newaxis, :]) % 360.0
+    h_states, v_states = np.asarray(h_states), np.asarray(v_states)
+    for name, states in (("row", h_states), ("column", v_states)):
+        if states.ndim != 1 or states.dtype.kind not in "iu":
+            raise ValueError(f"{name} states must be a 1-D integer vector")
+        if states.size and not (states.min() >= 0 and states.max() < len(table)):
+            raise ValueError(f"{name} states must lie in [0, {len(table)})")
+    total = (tbl[h_states][:, np.newaxis] + tbl[v_states][np.newaxis, :]) % 360.0
     diff = np.abs(total[..., np.newaxis] - tbl)
     circular = np.minimum(diff, 360.0 - diff)
     states = np.argmin(circular, axis=-1)  # argmin picks the lowest index on ties

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.evaluate import CSV_COLUMNS
-from risopt.physics import PhaseConfig
+from risopt.physics import DEFAULT_PHASE_TABLE, PhaseConfig
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -36,6 +36,14 @@ def with_state(cfg, row, col, state):
     states = cfg.states.copy()
     states[row, col] = state
     return PhaseConfig(states, cfg.phase_table)
+
+
+def expand_stripe(states, orientation, shape, phase_table=DEFAULT_PHASE_TABLE):
+    """Full config of one stripe search's state vector: row n holds
+    ``states[n]`` (horizontal) or column m holds ``states[m]`` (vertical)."""
+    states = np.asarray(states, dtype=np.int64)
+    line = states[:, np.newaxis] if orientation == "horizontal" else states[np.newaxis, :]
+    return PhaseConfig(np.broadcast_to(line, shape).copy(), phase_table)
 
 
 def num_parameters(model):

@@ -27,7 +27,7 @@ from risopt.physics import (
     compute_illumination,
     radiation_pattern,
 )
-from risopt.tensorfile import load_tensors
+from risopt.tensorfile import load_tensors, save_tensors
 
 from oracles import load_report_csv, num_parameters
 
@@ -133,7 +133,8 @@ def test_generate_wrote_full_dataset(pipeline):
     assert manifest.counts == {"total": 9, "train": 7, "val": 1, "test": 1}
     assert manifest.geometry.m_cols == 8
     assert manifest.geometry.n_rows == 8
-    assert manifest.phase_table == (0.0, 180.0)
+    written = json.loads((pipeline["dataset"] / "manifest.json").read_text(encoding="utf-8"))
+    assert written["phase_table"] == [0.0, 180.0]
     for name in ("inputs.rist", "targets.rist", "samples.json",
                  "splits.json", "manifest.json"):
         assert (pipeline["dataset"] / name).exists()
@@ -510,3 +511,47 @@ def test_every_numeric_flag_has_a_checked_type():
     for command, subparser in sub.choices.items():
         for action in subparser._actions:
             assert action.type not in (float, int), (command, action.option_strings)
+
+
+def test_eval_empty_split_fails_before_any_work(pipeline, tmp_path, capsys):
+    ds = tmp_path / "no_test"
+    assert main(["generate", *BASE, "--grid-az", "0,20", "--grid-el", "0,20",
+                 "--grid-step", "20", "--split", "0.75,0.25,0", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.csv"
+    code = main(["eval", *BASE, "--data", str(ds), "--weights", str(pipeline["weights"]),
+                 "--split", "test", "--report-out", str(report)])
+    assert code == 1
+    assert "split 'test'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.full((8, 8), 0.7), "holds values that are not phase state indices"),
+    (np.full((8, 8), 1.5), "holds values that are not phase state indices"),
+    (np.full((8, 8), -1.0), "holds values that are not phase state indices"),
+    (np.full((8, 8), np.inf), "holds values that are not phase state indices"),
+    (np.zeros((0, 0)), "does not match the geometry"),
+])
+def test_pattern_rejects_config_it_cannot_represent(tmp_path, capsys, values, message):
+    config = tmp_path / "bad.rist"
+    save_tensors(config, [values.astype(np.float32)])
+    out = tmp_path / "p.csv"
+    code = main(["pattern", *BASE, "--config", str(config), "--step", "20",
+                 "--out", str(out)])
+    assert code == 1
+    assert f"{config} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", *BASE, "--out", _MISSING], "--grid-step"),
+    (["pattern", *BASE, "--config", _MISSING, "--out", _MISSING], "--step"),
+])
+def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
+    # about 2e604 grid points on the default ranges: the float count overflows to inf
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in argv]
+    assert main([*argv, f"{flag}=1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "points a grid may hold" in err and flag in err
+    assert list(tmp_path.iterdir()) == []

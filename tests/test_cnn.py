@@ -24,9 +24,7 @@ from risopt.cnn import (
     stripe_states,
     train,
 )
-from risopt.optimizers import StripeConfig
-
-from oracles import num_parameters
+from oracles import expand_stripe, num_parameters
 
 
 # ---------------------------------------------------------------- oracles
@@ -512,16 +510,17 @@ def _center_tap_model(channel: int) -> Model:
 @example([0, 1, 0], [1])  # one column
 @example([1, 0], [0, 1, 1, 0, 1])  # wider than tall
 def test_stripe_image_matches_expanded_stripe_configs(h_bits, v_bits):
-    # the encoding stripe_image replaced: expand each StripeConfig to a full
+    # the encoding stripe_image replaced: expand each stripe vector to a full
     # config, then sign-encode it as one channel
     shape = (len(h_bits), len(v_bits))
     image = stripe_image(np.array(h_bits), np.array(v_bits))
     assert image.shape == (*shape, 2)
     assert image.dtype == np.float64
-    for channel, cfg in enumerate((StripeConfig("horizontal", h_bits),
-                                   StripeConfig("vertical", v_bits))):
-        np.testing.assert_array_equal(image[:, :, channel],
-                                      states_to_pm1(cfg.expand(shape).states))
+    for channel, (bits, orientation) in enumerate(((h_bits, "horizontal"),
+                                                   (v_bits, "vertical"))):
+        np.testing.assert_array_equal(
+            image[:, :, channel],
+            states_to_pm1(expand_stripe(bits, orientation, shape).states))
     h_states, v_states = stripe_states(image)
     np.testing.assert_array_equal(h_states, h_bits)
     np.testing.assert_array_equal(v_states, v_bits)
@@ -529,13 +528,13 @@ def test_stripe_image_matches_expanded_stripe_configs(h_bits, v_bits):
 
 def test_predict_config_channel_copy_model():
     rng = np.random.default_rng(31)
-    h = StripeConfig("horizontal", rng.integers(0, 2, 5))
-    v = StripeConfig("vertical", rng.integers(0, 2, 4))
-    image = stripe_image(h.states, v.states)
+    h = rng.integers(0, 2, 5)
+    v = rng.integers(0, 2, 4)
+    image = stripe_image(h, v)
     got = predict_config(_center_tap_model(0), image)
-    np.testing.assert_array_equal(got.states, h.expand((5, 4)).states)
+    np.testing.assert_array_equal(got.states, expand_stripe(h, "horizontal", (5, 4)).states)
     got = predict_config(_center_tap_model(1), image)
-    np.testing.assert_array_equal(got.states, v.expand((5, 4)).states)
+    np.testing.assert_array_equal(got.states, expand_stripe(v, "vertical", (5, 4)).states)
 
 
 def test_predict_config_zero_output_is_all_zero_state():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from risopt import data
-from risopt.cnn import pm1_to_states
+from risopt.cnn import pm1_to_states, stripe_states
 from risopt.data import (
+    MAX_GRID_POINTS,
     AngularGrid,
     DatasetManifest,
     Sample,
@@ -21,7 +22,7 @@ from risopt.data import (
     load_splits,
     split_dataset,
 )
-from risopt.optimizers import StripeConfig, combine_stripes, im_optimize
+from risopt.optimizers import combine_stripes, im_optimize
 from risopt.physics import (
     PhaseConfig,
     RisGeometry,
@@ -31,6 +32,8 @@ from risopt.physics import (
     compute_illumination,
     objective,
 )
+
+from oracles import expand_stripe
 
 
 def small_setup(m_cols=4, n_rows=4):
@@ -92,6 +95,23 @@ def test_grid_validation():
     assert AngularGrid(0.0, 360.0, -90.0, 90.0, 7.0).azimuth_values()[-1] == 357.0
 
 
+def test_grid_point_cap_is_counted_before_any_array(monkeypatch):
+    # a binary step keeps the count exact: 10,000 azimuths x 1,000 elevations
+    step = 0.03125
+    assert AngularGrid(0.0, 9999 * step, 0.0, 999 * step, step).num_points == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"more than the {MAX_GRID_POINTS} points"):
+        AngularGrid(0.0, 10000 * step, 0.0, 999 * step, step)
+
+    def no_arrays(*args):
+        raise AssertionError("grid values built before the point count was checked")
+
+    monkeypatch.setattr(data, "_inclusive_range", no_arrays)
+    # about 2e12 directions; at 1e-300 the float ratio overflows to inf
+    for step in (1e-4, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="points a grid may hold"):
+            AngularGrid(step_deg=step)
+
+
 def test_single_point_grid():
     grid = AngularGrid(90.0, 90.0, 30.0, 30.0, 1.0)
     assert grid.num_points == 1
@@ -149,11 +169,10 @@ def test_split_ratio_validation():
 # ---------------------------------------------------------------- encoding
 
 def _hand_sample(h_states, v_states, ref_states):
-    table = (0.0, 180.0)
     return Sample(
-        h_cfg=StripeConfig("horizontal", np.array(h_states)),
-        v_cfg=StripeConfig("vertical", np.array(v_states)),
-        ref_cfg=PhaseConfig(np.array(ref_states), table),
+        h_states=np.array(h_states),
+        v_states=np.array(v_states),
+        ref_cfg=PhaseConfig(np.array(ref_states)),
         elevation_deg=0.0,
         azimuth_deg=90.0,
         objective_im=1.0,
@@ -173,8 +192,8 @@ def test_encode_hand_built_cell_by_cell():
     x, y = encode_sample(s)
     for n in range(3):
         for m in range(3):
-            assert x[n, m, 0] == (1.0 if s.h_cfg.states[n] == 0 else -1.0)
-            assert x[n, m, 1] == (1.0 if s.v_cfg.states[m] == 0 else -1.0)
+            assert x[n, m, 0] == (1.0 if s.h_states[n] == 0 else -1.0)
+            assert x[n, m, 1] == (1.0 if s.v_states[m] == 0 else -1.0)
             assert y[n, m] == (1.0 if s.ref_cfg.states[n, m] == 0 else -1.0)
 
 
@@ -184,9 +203,9 @@ def test_encode_decode_round_trip():
                      rng.integers(0, 2, (4, 4)))
     x, y = encode_sample(s)
     np.testing.assert_array_equal(pm1_to_states(x[:, :, 0]),
-                                  s.h_cfg.expand((4, 4)).states)
+                                  expand_stripe(s.h_states, "horizontal", (4, 4)).states)
     np.testing.assert_array_equal(pm1_to_states(x[:, :, 1]),
-                                  s.v_cfg.expand((4, 4)).states)
+                                  expand_stripe(s.v_states, "vertical", (4, 4)).states)
     np.testing.assert_array_equal(pm1_to_states(y), s.ref_cfg.states)
 
 
@@ -247,9 +266,8 @@ def test_stored_objectives_match_recomputation(tmp_path):
         ch = compute_channels(geom, illum,
                               RxSpec(10.0, row["elevation_deg"], row["azimuth_deg"]))
         ref = PhaseConfig(pm1_to_states(targets[i]))
-        h_cfg = StripeConfig("horizontal", pm1_to_states(inputs[i, :, 0, 0]))
-        v_cfg = StripeConfig("vertical", pm1_to_states(inputs[i, 0, :, 1]))
-        combined = combine_stripes(h_cfg, v_cfg)
+        combined = combine_stripes(pm1_to_states(inputs[i, :, 0, 0]),
+                                   pm1_to_states(inputs[i, 0, :, 1]))
         assert objective(ch, ref) == pytest.approx(row["objective_im"], rel=1e-9)
         assert objective(ch, combined) == pytest.approx(row["objective_gim"], rel=1e-9)
 
@@ -324,6 +342,23 @@ def test_manifest_version_check():
         DatasetManifest.from_dict({"format_version": 99})
 
 
+def test_manifest_names_the_binary_table(tmp_path):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 0.0, 0.0, 0.0, 1.0), tmp_path)
+    path = tmp_path / "manifest.json"
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written["phase_table"] == [0.0, 180.0]
+    # the tensors hold +1/-1 stripes, so a manifest naming another table is refused
+    for table in ([0.0, 90.0], [0.0, 90.0, 180.0, 270.0]):
+        path.write_text(json.dumps({**written, "phase_table": table}), encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported phase table"):
+            load_manifest(tmp_path)
+    del written["phase_table"]
+    path.write_text(json.dumps(written), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported phase table None"):
+        load_manifest(tmp_path)
+
+
 def test_splits_file_matches_split_function(tmp_path):
     geom, tx = small_setup()
     grid = AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0)  # 3 x 2 = 6 samples
@@ -335,11 +370,13 @@ def test_generate_sample_orientations():
     geom, tx = small_setup(3, 5)
     illum = compute_illumination(geom, tx)
     s = generate_sample(geom, illum, RxSpec(10.0, 10.0, 60.0))
-    assert s.h_cfg.orientation == "horizontal"
-    assert s.v_cfg.orientation == "vertical"
-    assert len(s.h_cfg.states) == 5  # one state per row
-    assert len(s.v_cfg.states) == 3  # one state per column
+    assert s.h_states.shape == (5,)  # one state per row
+    assert s.v_states.shape == (3,)  # one state per column
+    assert s.h_states.dtype == s.v_states.dtype == np.int64
     assert s.ref_cfg.shape == (5, 3)
+    x, _ = encode_sample(s)
+    for got, want in zip(stripe_states(x), (s.h_states, s.v_states)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_generate_rejects_bad_rx_distance(tmp_path):

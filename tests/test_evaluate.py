@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from risopt import evaluate
 from risopt.cnn import ConvLayer, Model, pm1_to_states
 from risopt.data import AngularGrid, generate_dataset, load_arrays, load_manifest, load_splits
 from risopt.evaluate import (
@@ -19,7 +20,7 @@ from risopt.evaluate import (
     evaluate_split,
     power_db,
 )
-from risopt.optimizers import StripeConfig, combine_stripes
+from risopt.optimizers import combine_stripes
 from risopt.physics import (
     DB_FLOOR,
     PhaseConfig,
@@ -140,10 +141,9 @@ def test_gap_recomputed_by_hand_matches_row(real_dir):
     idx = splits["test"][0]
     row = report.rows[0]
 
-    h_cfg = StripeConfig("horizontal", pm1_to_states(inputs[idx, :, 0, 0]))
-    v_cfg = StripeConfig("vertical", pm1_to_states(inputs[idx, 0, :, 1]))
-    combined = combine_stripes(h_cfg, v_cfg, manifest.phase_table)
-    ref = PhaseConfig(pm1_to_states(targets[idx]), manifest.phase_table)
+    combined = combine_stripes(pm1_to_states(inputs[idx, :, 0, 0]),
+                               pm1_to_states(inputs[idx, 0, :, 1]))
+    ref = PhaseConfig(pm1_to_states(targets[idx]))
 
     illum = compute_illumination(manifest.geometry, manifest.tx)
     ch = compute_channels(manifest.geometry, illum,
@@ -216,6 +216,19 @@ def test_high_snr_approaches_noiseless(real_dir):
 def test_unknown_split_rejected(real_dir):
     with pytest.raises(ValueError):
         evaluate_split(real_dir, center_tap_model(), "holdout")
+
+
+def test_empty_split_rejected_before_tensors_load(tmp_path, monkeypatch):
+    generate_dataset(GEOM, TX, RX_DIST, AngularGrid(0.0, 20.0, 0.0, 20.0, 20.0), tmp_path,
+                     split_ratios=(0.75, 0.25, 0.0))
+    assert load_splits(tmp_path)["test"] == []
+
+    def no_load(data_dir):
+        raise AssertionError("tensors loaded for an empty split")
+
+    monkeypatch.setattr(evaluate, "load_arrays", no_load)
+    with pytest.raises(ValueError, match="split 'test' of .* has no samples"):
+        evaluate_split(tmp_path, center_tap_model(), "test")
 
 
 def test_wrong_input_channels_rejected(real_dir):

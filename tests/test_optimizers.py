@@ -18,7 +18,6 @@ from risopt import (
 )
 from risopt.optimizers import (
     OptimizeTrace,
-    StripeConfig,
     combine_stripes,
     exhaustive_optimize,
     gim_optimize,
@@ -26,7 +25,7 @@ from risopt.optimizers import (
     step_count,
 )
 
-from oracles import flip_delta, with_state
+from oracles import expand_stripe, flip_delta, with_state
 
 
 def random_channels(rng, n_rows, m_cols):
@@ -117,8 +116,7 @@ def reference_gim(ch, table, orientation, *, use_incremental):
             if not use_incremental:
                 trial = stripe_states.copy()
                 trial[i] = j
-                cand_sum = cascade_gain(
-                    ch, StripeConfig(orientation, trial).expand(ch.shape, table))
+                cand_sum = cascade_gain(ch, expand_stripe(trial, orientation, ch.shape, table))
             elif j == committed:
                 cand_sum = current
             else:
@@ -131,13 +129,17 @@ def reference_gim(ch, table, orientation, *, use_incremental):
                 committed = j
                 current = cand_sum
             history.append(best)
-    return StripeConfig(orientation, stripe_states), OptimizeTrace(
-        len(history), np.array(history), best)
+    return stripe_states, OptimizeTrace(len(history), np.array(history), best)
+
+
+def _states(result):
+    """State array of an optimizer result: a ``PhaseConfig`` or a stripe vector."""
+    return result.states if isinstance(result, PhaseConfig) else result
 
 
 def assert_bit_identical(got, want):
     (cfg, trace), (want_cfg, want_trace) = got, want
-    np.testing.assert_array_equal(cfg.states, want_cfg.states)
+    np.testing.assert_array_equal(_states(cfg), _states(want_cfg))
     assert trace.steps == want_trace.steps
     assert (trace.best_objective_history.tobytes()
             == want_trace.best_objective_history.tobytes())
@@ -148,7 +150,7 @@ def assert_bit_identical(got, want):
 def assert_matches_recompute(got, want, ties_possible):
     (cfg, trace), (want_cfg, want_trace) = got, want
     if not ties_possible:
-        np.testing.assert_array_equal(cfg.states, want_cfg.states)
+        np.testing.assert_array_equal(_states(cfg), _states(want_cfg))
     np.testing.assert_allclose(trace.best_objective_history,
                                want_trace.best_objective_history, rtol=1e-9)
 
@@ -327,7 +329,7 @@ def test_gim_identical_rows_reach_rowwise_brute_force():
 
     stripe, trace = gim_optimize(ch, table, "horizontal")
     assert trace.final_objective == pytest.approx(best_val, rel=1e-9)
-    full = stripe.expand((4, 4), table)
+    full = expand_stripe(stripe, "horizontal", (4, 4), table)
     assert objective(ch, full) == pytest.approx(best_val, rel=1e-9)
 
 
@@ -335,7 +337,8 @@ def test_gim_zero_channel_keeps_initialization():
     ch = ChannelMatrices(np.ones((3, 4), complex), np.zeros((3, 4), complex))
     for orientation, expected_len in [("horizontal", 3), ("vertical", 4)]:
         stripe, trace = gim_optimize(ch, (0.0, 180.0), orientation)
-        np.testing.assert_array_equal(stripe.states, np.zeros(expected_len))
+        assert stripe.dtype == np.int64
+        np.testing.assert_array_equal(stripe, np.zeros(expected_len))
         assert trace.final_objective == 0.0
         np.testing.assert_array_equal(trace.best_objective_history, 0.0)
 
@@ -369,7 +372,7 @@ def test_gim_matches_stripe_oracle():
             for stripe, trace in (
                     gim_optimize(ch, table, orientation),
                     reference_gim(ch, table, orientation, use_incremental=False)):
-                np.testing.assert_array_equal(stripe.states, states)
+                np.testing.assert_array_equal(stripe, states)
                 assert trace.final_objective == pytest.approx(best, rel=1e-9)
 
 
@@ -391,72 +394,61 @@ def test_gim_orientation_validation():
 
 # ---------------------------------------------------------------- stripes
 
-def test_stripe_expand_constant_rows_and_columns():
-    h = StripeConfig("horizontal", np.array([0, 1, 0]))
-    full = h.expand((3, 5))
-    for n in range(3):
-        assert len(set(full.states[n, :].tolist())) == 1
-    v = StripeConfig("vertical", np.array([1, 0, 1, 1, 0]))
-    full = v.expand((3, 5))
-    for m in range(5):
-        assert len(set(full.states[:, m].tolist())) == 1
-    np.testing.assert_array_equal(full.states[:, 0], [1, 1, 1])
-
-
-def test_stripe_validation():
-    with pytest.raises(ValueError):
-        StripeConfig("diagonal", np.array([0, 1]))
-    with pytest.raises(ValueError):
-        StripeConfig("horizontal", np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
-        StripeConfig("horizontal", np.array([0, 1])).expand((3, 4))
-
-
 def test_combine_identity_and_modulo():
-    h0 = StripeConfig("horizontal", np.zeros(3, dtype=int))
-    v0 = StripeConfig("vertical", np.zeros(4, dtype=int))
-    np.testing.assert_array_equal(combine_stripes(h0, v0).states, np.zeros((3, 4)))
+    zeros_h, zeros_v = np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    np.testing.assert_array_equal(combine_stripes(zeros_h, zeros_v).states, np.zeros((3, 4)))
     # 180 + 180 wraps to 0
-    h1 = StripeConfig("horizontal", np.ones(3, dtype=int))
-    v1 = StripeConfig("vertical", np.ones(4, dtype=int))
-    np.testing.assert_array_equal(combine_stripes(h1, v1).states, np.zeros((3, 4)))
+    np.testing.assert_array_equal(combine_stripes(zeros_h + 1, zeros_v + 1).states,
+                                  np.zeros((3, 4)))
 
 
 def test_combine_checkerboard_is_elementwise_xor():
-    h = StripeConfig("horizontal", np.array([0, 1, 0, 1]))
-    v = StripeConfig("vertical", np.array([1, 0, 1]))
+    h = np.array([0, 1, 0, 1])
+    v = np.array([1, 0, 1])
     full = combine_stripes(h, v)
+    assert full.shape == (4, 3)  # rows first, columns second
     for n in range(4):
         for m in range(3):
-            assert full.states[n, m] == (h.states[n] ^ v.states[m])
-    # argument order does not matter
-    np.testing.assert_array_equal(combine_stripes(v, h).states, full.states)
+            assert full.states[n, m] == (h[n] ^ v[m])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=12),
        st.lists(st.integers(0, 1), min_size=1, max_size=12))
 def test_combine_property_is_xor_of_expanded_stripes(h_bits, v_bits):
-    h = StripeConfig("horizontal", np.array(h_bits))
-    v = StripeConfig("vertical", np.array(v_bits))
     shape = (len(h_bits), len(v_bits))
-    want = h.expand(shape).states ^ v.expand(shape).states
-    for full in (combine_stripes(h, v), combine_stripes(v, h)):
-        assert full.phase_table == (0.0, 180.0)
-        np.testing.assert_array_equal(full.states, want)
+    want = (expand_stripe(h_bits, "horizontal", shape).states
+            ^ expand_stripe(v_bits, "vertical", shape).states)
+    full = combine_stripes(np.array(h_bits), np.array(v_bits))
+    assert full.phase_table == (0.0, 180.0)
+    np.testing.assert_array_equal(full.states, want)
 
 
-def test_combine_rejects_same_orientation():
-    a = StripeConfig("horizontal", np.array([0, 1]))
-    b = StripeConfig("horizontal", np.array([1, 0]))
-    with pytest.raises(ValueError):
-        combine_stripes(a, b)
+def test_stripe_validation():
+    pair = np.array([0, 1])
+    with pytest.raises(ValueError, match="row states must be a 1-D integer vector"):
+        combine_stripes(np.zeros((2, 2), dtype=np.int64), pair)
+    with pytest.raises(ValueError, match="column states must be a 1-D integer vector"):
+        combine_stripes(pair, np.array([[0], [1]]))
+    with pytest.raises(ValueError, match="row states must be a 1-D integer vector"):
+        combine_stripes(np.array([0.0, 1.0]), pair)
+
+
+@pytest.mark.parametrize("h, v, table", [
+    ([-1, 0], [0, 1], (0.0, 180.0)),  # -1 must not wrap to the last table entry
+    ([0, 1], [0, -1], (0.0, 180.0)),
+    ([0, 2], [0, 1], (0.0, 180.0)),
+    ([0, 1], [4, 0], (0.0, 90.0, 180.0, 270.0)),
+])
+def test_combine_rejects_states_outside_the_table(h, v, table):
+    with pytest.raises(ValueError, match=r"(row|column) states must lie in \[0, "):
+        combine_stripes(np.array(h), np.array(v), table)
 
 
 def test_combine_four_state_phase_addition():
     table = (0.0, 90.0, 180.0, 270.0)
-    h = StripeConfig("horizontal", np.array([1, 3]))  # 90, 270
-    v = StripeConfig("vertical", np.array([2, 3]))  # 180, 270
+    h = np.array([1, 3])  # 90, 270
+    v = np.array([2, 3])  # 180, 270
     full = combine_stripes(h, v, table)
     # (90+180)%360=270 -> 3, (90+270)%360=0 -> 0,
     # (270+180)%360=90 -> 1, (270+270)%360=180 -> 2
