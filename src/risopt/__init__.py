@@ -3,7 +3,7 @@ CNN that maps cheap stripe measurements to a full element-wise config."""
 
 from risopt.physics import (
     DB_FLOOR,
-    DEFAULT_PHASE_TABLE,
+    PHASE_TABLE,
     SPEED_OF_LIGHT,
     ChannelMatrices,
     DegeneratePowerError,

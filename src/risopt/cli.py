@@ -27,6 +27,7 @@ from risopt.cnn import (
     train,
 )
 from risopt.data import (
+    SPLIT_NAMES,
     AngularGrid,
     _write_json,
     generate_dataset,
@@ -149,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boresight transmitter distance in meters (default 1)")
     shared.add_argument("--rx-dist", type=_positive, default=10.0,
                         help="receiver distance in meters (default 10)")
-    shared.add_argument("--phase-states", type=_int_from(1), default=2,
-                        help="number of evenly spaced reflection phases (default 2)")
     shared.add_argument("--seed", type=_int_from(0), default=0,
                         help="seed for every random choice (default 0)")
     shared.add_argument("--flat-tx-phase", action="store_true",
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--weights", required=True, help="trained weights file")
     p.add_argument("--report-out", required=True, help="report CSV to write")
-    p.add_argument("--split", default="test", choices=("train", "val", "test"))
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--snr-db", type=_finite, default=None,
                    help="demo mode: score with seeded noisy link at this SNR")
     p.set_defaults(func=cmd_eval)
@@ -211,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern", parents=[shared],
                        help="export the radiation pattern of a saved config")
     p.add_argument("--config", required=True,
-                   help="config tensor file; it stores state indices but no "
-                        "phase table, so --phase-states must match the one the "
-                        "config was written with")
+                   help="config tensor file of 0/1 element states")
     p.add_argument("--step", type=_positive, default=1.0, help="grid step in degrees")
     p.add_argument("--out", required=True, help="pattern CSV to write")
     p.set_defaults(func=cmd_pattern)
@@ -224,30 +221,24 @@ class _UsageError(Exception):
     """A flag combination only a subcommand can check: exit 2."""
 
 
-_BINARY_ONLY = "--phase-states must be 2: the +1/-1 network encoding is binary-only"
-
-
 def _surface(args) -> tuple:
-    """Geometry, phase table, transmitter and illumination the shared flags
-    describe; a surface whose illumination overflows is a usage error."""
+    """Geometry, transmitter and illumination the shared flags describe; a
+    surface whose illumination overflows is a usage error."""
     freq = args.freq_ghz * 1e9
     if args.spacing is None:
         geom = RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
     else:
         geom = RisGeometry(args.ris_m, args.ris_n, args.spacing, args.spacing, freq)
-    table = tuple(360.0 * k / args.phase_states for k in range(args.phase_states))
     tx = TxSpec(args.tx_dist)
     try:
         illum = compute_illumination(geom, tx)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --freq-ghz, --spacing and --tx-dist") from None
-    return geom, table, tx, illum
+    return geom, tx, illum
 
 
 def cmd_generate(args) -> int:
-    geom, table, tx, _ = _surface(args)
-    if len(table) != 2:
-        raise _UsageError(_BINARY_ONLY)
+    geom, tx, _ = _surface(args)
     try:
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],
                            args.grid_el[0], args.grid_el[1], args.grid_step)
@@ -267,8 +258,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
-    inputs, targets = load_arrays(args.data)
     splits = load_splits(args.data)
+    inputs, targets = load_arrays(args.data)
     model = make_model(args.seed)
     trained, history = train(
         model,
@@ -323,21 +314,19 @@ def cmd_eval(args) -> int:
 def cmd_optimize(args) -> int:
     if args.method == "cnn" and not args.weights:
         raise _UsageError("--method cnn requires --weights")
-    geom, table, _, illum = _surface(args)
-    if args.method == "cnn" and len(table) != 2:
-        raise _UsageError(_BINARY_ONLY)
+    geom, _, illum = _surface(args)
     ch = compute_channels(geom, illum, RxSpec(args.rx_dist, args.el, args.az),
                           flat_tx_phase=args.flat_tx_phase)
 
     if args.method == "im":
-        cfg, trace = im_optimize(ch, table)
+        cfg, trace = im_optimize(ch)
         steps = trace.steps
     else:
-        h_states, tr_h = gim_optimize(ch, table, "horizontal")
-        v_states, tr_v = gim_optimize(ch, table, "vertical")
+        h_states, tr_h = gim_optimize(ch, "horizontal")
+        v_states, tr_v = gim_optimize(ch, "vertical")
         steps = tr_h.steps + tr_v.steps
         if args.method == "gim":
-            cfg = combine_stripes(h_states, v_states, table)
+            cfg = combine_stripes(h_states, v_states)
         else:
             # network inference adds no configure-and-measure steps
             image = stripe_image(h_states, v_states)
@@ -363,7 +352,7 @@ def pattern_csv(pat) -> str:
 
 
 def cmd_pattern(args) -> int:
-    geom, table, _, illum = _surface(args)
+    geom, _, illum = _surface(args)
     try:
         grid = AngularGrid(step_deg=args.step)
     except ValueError as exc:
@@ -373,14 +362,10 @@ def cmd_pattern(args) -> int:
         raise ValueError(f"{args.config} does not match the geometry: expected a single "
                          f"({geom.n_rows}, {geom.m_cols}) config record")
     values = records[0]
-    if not np.all(np.isfinite(values) & (values == np.round(values)) & (values >= 0)):
+    if not np.all((values == 0) | (values == 1)):
         raise ValueError(f"{args.config} holds values that are not phase state "
-                         "indices (integers >= 0)")
-    states = values.astype(np.int64)
-    if states.max() >= len(table):
-        raise _UsageError(f"config holds phase state {states.max()}, but --phase-states is "
-                          f"{len(table)}; pass the --phase-states it was written with")
-    cfg = PhaseConfig(states, table)
+                         "indices: each element is 0 (0 degrees) or 1 (180 degrees)")
+    cfg = PhaseConfig(values.astype(np.int64))
 
     pat = radiation_pattern(geom, illum, cfg,
                             grid.elevation_values(), grid.azimuth_values())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from risopt.physics import DEFAULT_PHASE_TABLE, PhaseConfig
+from risopt.physics import PhaseConfig
 from risopt.tensorfile import load_tensors, save_tensors
 
 DEFAULT_CHANNELS = (2, 4, 16, 32, 128, 64, 8, 4, 1)
@@ -419,7 +419,7 @@ def stripe_states(image) -> tuple:
 def predict_config(model: Model, image) -> PhaseConfig:
     """Full binary config predicted from a :func:`stripe_image`: an
     eval-mode forward pass, sign-decoded (>= 0 means phase state 0)."""
-    return PhaseConfig(pm1_to_states(model_forward(model, image, "eval")), DEFAULT_PHASE_TABLE)
+    return PhaseConfig(pm1_to_states(model_forward(model, image, "eval")))
 
 
 # ------------------------------------------------------------------ weights io

@@ -29,7 +29,7 @@ import numpy as np
 from risopt.cnn import states_to_pm1, stripe_image
 from risopt.optimizers import combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
-    DEFAULT_PHASE_TABLE,
+    PHASE_TABLE,
     PhaseConfig,
     RisGeometry,
     RxSpec,
@@ -44,6 +44,7 @@ from risopt.tensorfile import save_tensors
 MANIFEST_VERSION = 1
 
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
+SPLIT_NAMES = ("train", "val", "test")
 
 MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays and CSV near 2 GB
 
@@ -127,7 +128,7 @@ class Sample:
 @dataclass(frozen=True)
 class DatasetManifest:
     """Dataset metadata.  Every dataset uses the 0/180 table, the only one
-    the +1/-1 tensor encoding represents; the file still names it."""
+    the package has; the file still names it."""
 
     geometry: RisGeometry
     tx: TxSpec
@@ -141,28 +142,42 @@ class DatasetManifest:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["split"] = {"ratios": d.pop("split_ratios"), "seed": d.pop("split_seed")}
-        d["phase_table"] = list(DEFAULT_PHASE_TABLE)
+        d["phase_table"] = list(PHASE_TABLE)
         d["format_version"] = MANIFEST_VERSION
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
-        if d.get("format_version") != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {d.get('format_version')!r}")
-        if tuple(d.get("phase_table", ())) != DEFAULT_PHASE_TABLE:
-            raise ValueError(f"unsupported phase table {d.get('phase_table')!r}; "
-                             f"datasets use {list(DEFAULT_PHASE_TABLE)}")
+        version = d.get("format_version") if isinstance(d, dict) else None
+        if version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {version!r}")
+        table = d.get("phase_table")
+        if not isinstance(table, list) or tuple(table) != PHASE_TABLE:
+            raise ValueError(f"unsupported phase table {table!r}; "
+                             f"datasets use {list(PHASE_TABLE)}")
         return cls(
-            geometry=RisGeometry(**d["geometry"]),
+            geometry=_entry(d, "geometry", lambda g: RisGeometry(**g)),
             # older manifests also carry an unused tx_power_amp, which is ignored
-            tx=TxSpec(d["tx"]["distance"], d["tx"]["elevation_deg"], d["tx"]["azimuth_deg"]),
-            rx_distance_m=float(d["rx_distance_m"]),
-            grid=AngularGrid(**d["grid"]),
-            split_ratios=tuple(d["split"]["ratios"]),
-            split_seed=int(d["split"]["seed"]),
-            counts=dict(d["counts"]),
-            flat_tx_phase=bool(d["flat_tx_phase"]),
+            tx=_entry(d, "tx", lambda t: TxSpec(t["distance"], t["elevation_deg"],
+                                               t["azimuth_deg"])),
+            rx_distance_m=_entry(d, "rx_distance_m", float),
+            grid=_entry(d, "grid", lambda g: AngularGrid(**g)),
+            split_ratios=_entry(d, "split", lambda s: tuple(s["ratios"])),
+            split_seed=_entry(d, "split", lambda s: int(s["seed"])),
+            counts=_entry(d, "counts", lambda c: {k: int(c[k]) for k in ("total", *SPLIT_NAMES)}),
+            flat_tx_phase=_entry(d, "flat_tx_phase", bool),
         )
+
+
+def _entry(d: dict, key: str, build):
+    """``build(d[key])``; a missing or malformed manifest entry is a
+    ``ValueError`` that names its key."""
+    if key not in d:
+        raise ValueError(f"manifest has no {key!r} entry")
+    try:
+        return build(d[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"manifest entry {key!r} is malformed: {exc!r}") from None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -296,11 +311,26 @@ def load_manifest(data_dir) -> DatasetManifest:
 
 
 def load_splits(data_dir) -> dict:
-    return json.loads((Path(data_dir) / "splits.json").read_text(encoding="utf-8"))
+    """The train/val/test index lists, each index checked to be an integer
+    below the manifest's sample count."""
+    total = load_manifest(data_dir).counts["total"]
+    path = Path(data_dir) / "splits.json"
+    splits = json.loads(path.read_text(encoding="utf-8"))
+    for name in SPLIT_NAMES:
+        idx = splits.get(name) if isinstance(splits, dict) else None
+        if not (isinstance(idx, list) and all(type(i) is int and 0 <= i < total for i in idx)):
+            raise ValueError(f"{path}: split {name!r} must list sample indices in [0, {total})")
+    return splits
 
 
 def load_sample_rows(data_dir) -> list:
-    return json.loads((Path(data_dir) / "samples.json").read_text(encoding="utf-8"))
+    """Per-sample angles and objectives, one row for each of the manifest's samples."""
+    total = load_manifest(data_dir).counts["total"]
+    path = Path(data_dir) / "samples.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if not (isinstance(rows, list) and len(rows) == total):
+        raise ValueError(f"{path} must hold one row for each of the manifest's {total} samples")
+    return rows
 
 
 def load_arrays(data_dir):
@@ -310,6 +340,8 @@ def load_arrays(data_dir):
     data_dir = Path(data_dir)
     inputs = np.stack([t.astype(float) for t in load_tensors(data_dir / "inputs.rist")])
     targets = np.stack([t.astype(float) for t in load_tensors(data_dir / "targets.rist")])
-    if len(inputs) != len(targets):
-        raise ValueError("inputs and targets record counts differ")
+    total = load_manifest(data_dir).counts["total"]
+    if not len(inputs) == len(targets) == total:
+        raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "
+                         f"records, but its manifest counts {total} samples")
     return inputs, targets

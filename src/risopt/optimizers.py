@@ -1,13 +1,13 @@
-"""Greedy configuration search over discrete-phase surfaces.
+"""Greedy configuration search over 0/180-degree surfaces.
 
 Two greedy strategies share one bookkeeping convention: every
 (configure + evaluate) attempt is one step, and the running maximum of
 the objective after each step is recorded in the trace.
 
-``im_optimize`` sweeps each element once in raster order and tries every
-reflection state per element (M*N*P steps).  ``gim_optimize`` sweeps
-whole rows or whole columns instead (N*P or M*P steps) so a horizontal
-and a vertical run together cost only (M+N)*P steps; each returns a plain
+``im_optimize`` sweeps each element once in raster order and tries both
+reflection states per element (M*N*2 steps).  ``gim_optimize`` sweeps
+whole rows or whole columns instead (N*2 or M*2 steps) so a horizontal
+and a vertical run together cost only (M+N)*2 steps; each returns a plain
 int64 state vector (one state per row, or per column), and
 ``combine_stripes(h_states, v_states)`` merges the pair, rows first, into
 a full per-element configuration.  ``exhaustive_optimize`` enumerates every
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from risopt.physics import (
-    DEFAULT_PHASE_TABLE,
+    PHASE_TABLE,
     ChannelMatrices,
     PhaseConfig,
     cascade_gain,
@@ -32,6 +32,9 @@ from risopt.physics import (
 )
 
 EXHAUSTIVE_LIMIT = 2**24  # max number of enumerated configurations
+
+# reflection phasors of state 0 and state 1, from the phases in degrees
+_PHASORS = np.exp(1j * np.deg2rad(np.asarray(PHASE_TABLE)))
 
 
 @dataclass(frozen=True)
@@ -55,46 +58,32 @@ class OptimizeTrace:
             raise ValueError("best-objective history must be non-decreasing")
 
 
-def _normalize_table(phase_table) -> tuple:
-    table = tuple(float(v) for v in phase_table)
-    if not table:
-        raise ValueError("phase_table must be non-empty")
-    return table
-
-
-def im_optimize(
-    ch: ChannelMatrices,
-    phase_table=DEFAULT_PHASE_TABLE,
-    init: PhaseConfig | None = None,
-) -> tuple:
-    """Element-wise greedy search: one raster pass, P trials per element.
+def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
+    """Element-wise greedy search: one raster pass, 2 trials per element.
 
     Elements are visited row 0..N-1, column 0..M-1 within each row.  Each
-    of the P states is evaluated with every other element held at its
+    of the 2 states is evaluated with every other element held at its
     committed state; a state is committed only if it strictly improves on
     the best objective seen so far.  The trace therefore has exactly
-    M*N*P steps and the final objective never falls below the objective
+    M*N*2 steps and the final objective never falls below the objective
     of ``init`` (all-zero states when omitted).
 
     Each trial updates the running cascade sum in O(1) by
     ``h*g * (phasor[new] - phasor[old])``, on plain Python scalars, with
-    ``h*g`` and the P x P phasor differences computed once up front.
+    ``h*g`` and the phasor differences computed once up front.
     """
-    table = _normalize_table(phase_table)
     n_rows, m_cols = ch.shape
     if init is None:
-        init = PhaseConfig.zeros(n_rows, m_cols, table)
+        init = PhaseConfig.zeros(n_rows, m_cols)
     if init.shape != ch.shape:
         raise ValueError(f"init shape {init.shape} does not match channels {ch.shape}")
-    if init.phase_table != table:
-        raise ValueError("init phase_table differs from the requested table")
 
     h, g = ch.h.ravel(), ch.g.ravel()
     # real arithmetic: numpy's array complex multiply may round differently
     hg = list(map(complex, (h.real * g.real - h.imag * g.imag).tolist(),
                   (h.real * g.imag + h.imag * g.real).tolist()))
-    phasor = [np.exp(1j * np.deg2rad(v)) for v in table]
-    delta = [[complex(new - old) for old in phasor] for new in phasor]  # [new][old]
+    phasor = _PHASORS.tolist()
+    delta = [[new - old for old in phasor] for new in phasor]  # [new][old]
     states = init.states.ravel().tolist()
     current = cascade_gain(ch, init)
     best = abs(current)
@@ -109,16 +98,12 @@ def im_optimize(
                     best, current, committed = cand, cand_sum, state
             history.append(best)
         states[k] = committed
-    cfg = PhaseConfig(np.reshape(states, ch.shape), table)
+    cfg = PhaseConfig(np.reshape(states, ch.shape))
     trace = OptimizeTrace(len(history), np.array(history), best)
     return cfg, trace
 
 
-def gim_optimize(
-    ch: ChannelMatrices,
-    phase_table=DEFAULT_PHASE_TABLE,
-    orientation: str = "horizontal",
-) -> tuple:
+def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
     """Stripe-wise greedy search over rows (horizontal) or columns (vertical).
 
     Returns ``(states, trace)``: ``states`` is an int64 vector of N row
@@ -128,20 +113,18 @@ def gim_optimize(
     so the very first evaluation always registers.  For each stripe, each
     state is applied to the whole stripe with every other stripe held at
     its committed state; the stripe state is committed only on strict
-    improvement.  Steps: N*P (horizontal) or M*P (vertical).  Each trial
+    improvement.  Steps: N*2 (horizontal) or M*2 (vertical).  Each trial
     updates the running cascade sum in O(1) from the stripe's summed ``h*g``;
     like ``im_optimize``, the loop runs on plain Python scalars.
     """
-    table = _normalize_table(phase_table)
     if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
     hg = ch.h * ch.g
     # total cascade contribution of each stripe (all its elements share a state)
     stripe_hg = (hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)).tolist()
-    phasor = np.exp(1j * np.deg2rad(np.asarray(table)))
-    current = complex(hg.sum() * phasor[0])  # all elements at state 0
-    phasor = phasor.tolist()
+    current = complex(hg.sum() * _PHASORS[0])  # all elements at state 0
+    phasor = _PHASORS.tolist()
 
     states = []
     best = -np.inf
@@ -162,63 +145,49 @@ def gim_optimize(
     return np.array(states, dtype=np.int64), trace
 
 
-def combine_stripes(h_states, v_states, phase_table=DEFAULT_PHASE_TABLE) -> PhaseConfig:
+def combine_stripes(h_states, v_states) -> PhaseConfig:
     """Merge the row states of a horizontal stripe search and the column
     states of a vertical one into a full config.
 
     Element (row n, column m) takes the phase of row state n plus the
-    phase of column state m, modulo 360, snapped to the nearest table
-    entry (lowest index on ties).  For the two-state 0/180 table this is
-    exactly the XOR of the state bits.
+    phase of column state m, modulo 360: on the 0/180 surface that is the
+    XOR of the two state bits.
     """
-    table = _normalize_table(phase_table)
-    tbl = np.asarray(table)
     h_states, v_states = np.asarray(h_states), np.asarray(v_states)
     for name, states in (("row", h_states), ("column", v_states)):
         if states.ndim != 1 or states.dtype.kind not in "iu":
             raise ValueError(f"{name} states must be a 1-D integer vector")
-        if states.size and not (states.min() >= 0 and states.max() < len(table)):
-            raise ValueError(f"{name} states must lie in [0, {len(table)})")
-    total = (tbl[h_states][:, np.newaxis] + tbl[v_states][np.newaxis, :]) % 360.0
-    diff = np.abs(total[..., np.newaxis] - tbl)
-    circular = np.minimum(diff, 360.0 - diff)
-    states = np.argmin(circular, axis=-1)  # argmin picks the lowest index on ties
-    return PhaseConfig(states, table)
+        if states.size and not (states.min() >= 0 and states.max() <= 1):
+            raise ValueError(f"{name} states must be 0 or 1")
+    return PhaseConfig(h_states[:, np.newaxis] ^ v_states[np.newaxis, :])
 
 
-def exhaustive_optimize(ch: ChannelMatrices, phase_table=DEFAULT_PHASE_TABLE) -> tuple:
-    """Global optimum by enumerating all P^(M*N) configurations.
+def exhaustive_optimize(ch: ChannelMatrices) -> tuple:
+    """Global optimum by enumerating all 2^(M*N) configurations.
 
-    Configurations are encoded little-endian in raster order (element at
-    raster index i carries weight P^i) and ties go to the lowest
-    encoding.  Rotating every element by one table step leaves the
-    objective mathematically unchanged, so exact ties are the norm, not
-    the exception; tie detection therefore uses a 1e-12 relative band
-    rather than bit equality, which would make the winner depend on
-    floating-point summation order.  Refuses instances with more than
-    2^24 configurations.
+    Configurations are encoded little-endian in raster order (the element
+    at raster index i is bit i) and ties go to the lowest encoding.
+    Flipping every element leaves the objective mathematically unchanged,
+    so exact ties are the norm, not the exception; tie detection
+    therefore uses a 1e-12 relative band rather than bit equality, which
+    would make the winner depend on floating-point summation order.
+    Refuses instances with more than 2^24 configurations.
     """
-    table = _normalize_table(phase_table)
     n_rows, m_cols = ch.shape
-    num_states = len(table)
     n_elem = n_rows * m_cols
-    n_configs = num_states**n_elem
+    n_configs = 2**n_elem
     if n_configs > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"{num_states}^{n_elem} configurations exceed the {EXHAUSTIVE_LIMIT} limit"
-        )
+        raise ValueError(f"2^{n_elem} configurations exceed the {EXHAUSTIVE_LIMIT} limit")
 
     hg = (ch.h * ch.g).reshape(-1)  # row-major raster order
-    phasor = np.exp(1j * np.deg2rad(np.asarray(table)))
-    per_state = hg[:, np.newaxis] * phasor[np.newaxis, :]  # (n_elem, P)
-    weights = num_states ** np.arange(n_elem, dtype=np.int64)
-    elem_idx = np.arange(n_elem)
+    per_state = hg[:, np.newaxis] * _PHASORS[np.newaxis, :]  # (n_elem, 2)
+    bits = np.arange(n_elem)
     chunk = 1 << 14
 
     def chunk_vals(start):
         enc = np.arange(start, min(start + chunk, n_configs), dtype=np.int64)
-        digits = (enc[:, np.newaxis] // weights) % num_states
-        return np.abs(per_state[elem_idx, digits].sum(axis=1))
+        digits = (enc[:, np.newaxis] >> bits) & 1
+        return np.abs(per_state[bits, digits].sum(axis=1))
 
     best_val = -np.inf
     for start in range(0, n_configs, chunk):
@@ -233,8 +202,7 @@ def exhaustive_optimize(ch: ChannelMatrices, phase_table=DEFAULT_PHASE_TABLE) ->
             break
     assert best_enc is not None
 
-    digits = (best_enc // weights) % num_states
-    cfg = PhaseConfig(digits.reshape(n_rows, m_cols), table)
+    cfg = PhaseConfig(((best_enc >> bits) & 1).reshape(n_rows, m_cols))
     return cfg, objective(ch, cfg)
 
 

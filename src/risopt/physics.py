@@ -13,8 +13,8 @@ surface boresight (+z) and azimuth in the xy-plane, so a direction
 The transmitter illuminates the surface from the near field (per-element
 spherical-wave amplitude and phase); the receiver is modelled in the far
 field through a single plane-wave steering phase per element.  Each
-element applies one of P discrete reflection phases; the cascade of
-illumination, reflection, and steering gives the received signal.
+element reflects with phase 0 or 180 degrees (state 0 or 1); the cascade
+of illumination, reflection, and steering gives the received signal.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Two-state reflection hardware: 0 or 180 degrees per element.
-DEFAULT_PHASE_TABLE = (0.0, 180.0)
+#: Reflection phase in degrees of element state 0 and state 1.
+PHASE_TABLE = (0.0, 180.0)
 
 DB_FLOOR = -300.0  # assigned to exactly-zero magnitudes
 
@@ -128,46 +128,29 @@ class RxSpec:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Discrete reflection state of every element.
-
-    ``states[n, m]`` is an index into ``phase_table`` (degrees).  The
-    default table is the two-state 0/180 hardware.
-    """
+    """Reflection state of every element: ``states[n, m]`` is 0 (0 degrees)
+    or 1 (180 degrees)."""
 
     states: np.ndarray
-    phase_table: tuple = DEFAULT_PHASE_TABLE
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.int64)
         if states.ndim != 2:
             raise ValueError("states must be a 2-D matrix")
+        if states.size and (states.min() < 0 or states.max() > 1):
+            raise ValueError("states must be 0 or 1")
         object.__setattr__(self, "states", states)
-        table = tuple(float(v) for v in self.phase_table)
-        if len(table) != len(set(table)):
-            raise ValueError("phase_table entries must be distinct")
-        if any(not 0.0 <= v < 360.0 for v in table):
-            raise ValueError("phase_table entries must lie in [0, 360) degrees")
-        object.__setattr__(self, "phase_table", table)
-        if states.size and (states.min() < 0 or states.max() >= len(table)):
-            raise ValueError("state indices must lie in [0, len(phase_table))")
 
     @classmethod
-    def zeros(cls, n_rows: int, m_cols: int, phase_table=DEFAULT_PHASE_TABLE) -> "PhaseConfig":
-        return cls(np.zeros((n_rows, m_cols), dtype=np.int64), phase_table)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.phase_table)
+    def zeros(cls, n_rows: int, m_cols: int) -> "PhaseConfig":
+        return cls(np.zeros((n_rows, m_cols), dtype=np.int64))
 
     @property
     def shape(self) -> tuple:
         return self.states.shape
 
-    def phases_deg(self) -> np.ndarray:
-        return np.asarray(self.phase_table)[self.states]
-
     def phases_rad(self) -> np.ndarray:
-        return np.deg2rad(self.phases_deg())
+        return np.deg2rad(np.asarray(PHASE_TABLE)[self.states])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.evaluate import CSV_COLUMNS
-from risopt.physics import DEFAULT_PHASE_TABLE, PhaseConfig
+from risopt.physics import PHASE_TABLE, PhaseConfig
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -19,15 +19,14 @@ def flip_delta(ch, cfg, row, col, new_state, current_sum):
     n_rows, m_cols = ch.shape
     if not (0 <= row < n_rows and 0 <= col < m_cols):
         raise ValueError(f"element ({row}, {col}) out of range for {ch.shape}")
-    if not 0 <= new_state < cfg.num_states:
-        raise ValueError(f"state {new_state} out of range for P={cfg.num_states}")
+    if new_state not in (0, 1):
+        raise ValueError(f"state {new_state} is not 0 or 1")
     old_state = int(cfg.states[row, col])
     if new_state == old_state:
         return current_sum
     hg = complex(ch.h[row, col] * ch.g[row, col])
-    table = cfg.phase_table
-    old_phase = np.deg2rad(table[old_state])
-    new_phase = np.deg2rad(table[new_state])
+    old_phase = np.deg2rad(PHASE_TABLE[old_state])
+    new_phase = np.deg2rad(PHASE_TABLE[new_state])
     return current_sum + hg * (np.exp(1j * new_phase) - np.exp(1j * old_phase))
 
 
@@ -35,15 +34,15 @@ def with_state(cfg, row, col, state):
     """A copy of ``cfg`` with element (row, col) switched to ``state``."""
     states = cfg.states.copy()
     states[row, col] = state
-    return PhaseConfig(states, cfg.phase_table)
+    return PhaseConfig(states)
 
 
-def expand_stripe(states, orientation, shape, phase_table=DEFAULT_PHASE_TABLE):
+def expand_stripe(states, orientation, shape):
     """Full config of one stripe search's state vector: row n holds
     ``states[n]`` (horizontal) or column m holds ``states[m]`` (vertical)."""
     states = np.asarray(states, dtype=np.int64)
     line = states[:, np.newaxis] if orientation == "horizontal" else states[np.newaxis, :]
-    return PhaseConfig(np.broadcast_to(line, shape).copy(), phase_table)
+    return PhaseConfig(np.broadcast_to(line, shape).copy())
 
 
 def num_parameters(model):

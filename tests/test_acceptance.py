@@ -48,7 +48,7 @@ from risopt.optimizers import (
     im_optimize,
     step_count,
 )
-from risopt.physics import SPEED_OF_LIGHT
+from risopt.physics import PHASE_TABLE, SPEED_OF_LIGHT
 
 from oracles import flip_delta, with_state
 
@@ -101,7 +101,7 @@ def _oracle_field(geom, illum, cfg, elev_deg, azim_deg):
     total = 0.0 + 0.0j
     for n in range(geom.n_rows):
         for m in range(geom.m_cols):
-            refl = np.deg2rad(cfg.phase_table[cfg.states[n, m]])
+            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
             steer = k0 * (m * geom.dx * np.sin(t) * np.cos(p)
                           + n * geom.dy * np.sin(t) * np.sin(p))
             total += (illum.amp[n, m] * np.exp(1j * illum.phase[n, m])
@@ -113,7 +113,7 @@ def _oracle_gain(ch, cfg):
     total = 0.0 + 0.0j
     for n in range(ch.shape[0]):
         for m in range(ch.shape[1]):
-            refl = np.deg2rad(cfg.phase_table[cfg.states[n, m]])
+            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
             total += ch.h[n, m] * np.exp(1j * refl) * ch.g[n, m]
     return total
 

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,16 +105,19 @@ def test_generate_bad_phase_states(tmp_path, capsys):
         main(["generate", *BASE, "--phase-states", "0",
               "--grid-step", "20", "--out", str(out)])
     assert err.value.code == 2
-    assert "argument --phase-states: must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --phase-states 0" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("states", ["1", "4"])
 def test_generate_non_binary_phase_states_fails_fast(tmp_path, capsys, states):
+    # every surface is 0/180; a request for another state count is refused
+    # when the command line is parsed
     out = tmp_path / "d"
-    code = main(["generate", *BASE, "--phase-states", states,
-                 "--grid-step", "20", "--out", str(out)])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["generate", *BASE, "--phase-states", states,
+              "--grid-step", "20", "--out", str(out)])
+    assert err.value.code == 2
     assert "--phase-states" in capsys.readouterr().err
     assert not out.exists()
 
@@ -225,10 +229,11 @@ def test_optimize_cnn_requires_weights(pipeline):
 
 def test_optimize_cnn_non_binary_phase_states_fails_fast(pipeline, capsys):
     out = pipeline["root"] / "cnn4.rist"
-    code = main(["optimize", *BASE, "--phase-states", "4", "--method", "cnn",
-                 "--el", "0", "--az", "80", "--weights", str(pipeline["weights"]),
-                 "--config-out", str(out)])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", *BASE, "--phase-states", "4", "--method", "cnn",
+              "--el", "0", "--az", "80", "--weights", str(pipeline["weights"]),
+              "--config-out", str(out)])
+    assert err.value.code == 2
     captured = capsys.readouterr()
     assert "--phase-states" in captured.err
     assert "steps=" not in captured.out
@@ -245,15 +250,6 @@ def test_optimize_out_of_range_angle_is_usage_error(pipeline, capsys, el, az, an
     flag = "--el" if angle == "elevation" else "--az"
     assert f"argument {flag}: rx {angle}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_optimize_im_four_phase_states(pipeline, capsys):
-    out = pipeline["root"] / "im4.rist"
-    code = main(["optimize", *BASE, "--phase-states", "4", "--method", "im",
-                 "--el", "0", "--az", "80", "--config-out", str(out)])
-    assert code == 0
-    assert "steps=256" in capsys.readouterr().out  # 8 * 8 * 4 trials
-    assert set(np.unique(load_tensors(out)[0])) <= {0.0, 1.0, 2.0, 3.0}
 
 
 def test_optimize_cnn_uses_stripe_step_budget(pipeline, capsys):
@@ -298,22 +294,6 @@ def test_pattern_rejects_mismatched_geometry(pipeline, capsys):
                  "--out", str(pipeline["root"] / "bad.csv")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
-
-
-def test_pattern_phase_states_mismatch_is_usage_error(pipeline, capsys):
-    config = pipeline["root"] / "im3.rist"
-    assert main(["optimize", *BASE, "--phase-states", "3", "--method", "im",
-                 "--el", "20", "--az", "80", "--config-out", str(config)]) == 0
-    assert load_tensors(config)[0].max() == 2.0
-    capsys.readouterr()
-    out = pipeline["root"] / "im3.csv"
-    code = main(["pattern", *BASE, "--config", str(config), "--step", "20",
-                 "--out", str(out)])
-    assert code == 2
-    assert "--phase-states" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["pattern", *BASE, "--phase-states", "3", "--config", str(config),
-                 "--step", "20", "--out", str(out)]) == 0
 
 
 def test_pattern_csv_bytes_match_fstring_loop(pipeline):
@@ -445,7 +425,6 @@ _BAD_FLAGS = {
 @pytest.mark.parametrize("command, flag, value, message", [
     ("optimize", "--ris-m", "0", "must be >= 1"),
     ("optimize", "--ris-n", "-3", "must be >= 1"),
-    ("optimize", "--phase-states", "2.5", "expected an integer"),
     ("optimize", "--freq-ghz", "0", "must be > 0"),
     ("optimize", "--freq-ghz", "-5", "must be > 0"),
     ("optimize", "--freq-ghz", "1e300", "must be finite in Hz"),
@@ -483,6 +462,17 @@ def test_bad_flag_is_named_at_parse_time(tmp_path, capsys, command, flag, value,
         main([*argv, f"{flag}={value}"])
     assert err.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_FLAGS))
+def test_phase_states_is_an_unrecognized_argument(tmp_path, capsys, command):
+    # every surface is 0/180: there is no phase table to choose
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--phase-states", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --phase-states 2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -532,6 +522,8 @@ def test_eval_empty_split_fails_before_any_work(pipeline, tmp_path, capsys):
     (np.full((8, 8), -1.0), "holds values that are not phase state indices"),
     (np.full((8, 8), np.inf), "holds values that are not phase state indices"),
     (np.zeros((0, 0)), "does not match the geometry"),
+    # a config written for three states: 2 is not a state of the 0/180 surface
+    (np.pad([[2.0]], (0, 7)), "holds values that are not phase state indices"),
 ])
 def test_pattern_rejects_config_it_cannot_represent(tmp_path, capsys, values, message):
     config = tmp_path / "bad.rist"
@@ -555,3 +547,23 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert "points a grid may hold" in err and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_range_split_index_is_runtime_error(pipeline, tmp_path, capsys, command):
+    ds = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], ds)
+    splits = json.loads((ds / "splits.json").read_text(encoding="utf-8"))
+    splits["test"].append(999)
+    (ds / "splits.json").write_text(json.dumps(splits), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", *BASE, "--data", str(ds), "--weights-out", str(out)]
+    else:
+        argv = ["eval", "--data", str(ds), "--weights", str(pipeline["weights"]),
+                "--report-out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "split 'test' must list sample indices in [0, 9)" in err
+    assert not out.exists()

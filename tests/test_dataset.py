@@ -32,6 +32,7 @@ from risopt.physics import (
     compute_illumination,
     objective,
 )
+from risopt.tensorfile import load_tensors, save_tensors
 
 from oracles import expand_stripe
 
@@ -349,7 +350,7 @@ def test_manifest_names_the_binary_table(tmp_path):
     written = json.loads(path.read_text(encoding="utf-8"))
     assert written["phase_table"] == [0.0, 180.0]
     # the tensors hold +1/-1 stripes, so a manifest naming another table is refused
-    for table in ([0.0, 90.0], [0.0, 90.0, 180.0, 270.0]):
+    for table in ([0.0, 90.0], [0.0, 90.0, 180.0, 270.0], 180.0):
         path.write_text(json.dumps({**written, "phase_table": table}), encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported phase table"):
             load_manifest(tmp_path)
@@ -358,6 +359,36 @@ def test_manifest_names_the_binary_table(tmp_path):
     with pytest.raises(ValueError, match="unsupported phase table None"):
         load_manifest(tmp_path)
 
+
+def test_manifest_names_a_missing_or_malformed_entry(tmp_path):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 0.0, 0.0, 0.0, 1.0), tmp_path)
+    path = tmp_path / "manifest.json"
+    written = json.loads(path.read_text(encoding="utf-8"))
+    counts = written.pop("counts")
+    path.write_text(json.dumps(written), encoding="utf-8")
+    with pytest.raises(ValueError, match="manifest has no 'counts' entry"):
+        load_manifest(tmp_path)
+    written["counts"] = counts
+    written["geometry"]["element_size"] = 0.01
+    path.write_text(json.dumps(written), encoding="utf-8")
+    with pytest.raises(ValueError, match="manifest entry 'geometry' is malformed"):
+        load_manifest(tmp_path)
+
+
+def test_per_sample_files_must_match_the_manifest_count(tmp_path):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    inputs = load_tensors(tmp_path / "inputs.rist")
+    save_tensors(tmp_path / "inputs.rist", inputs[:5])
+    save_tensors(tmp_path / "targets.rist", load_tensors(tmp_path / "targets.rist")[:5])
+    with pytest.raises(ValueError, match="holds 5 input and 5 target records, but its "
+                                         "manifest counts 6 samples"):
+        load_arrays(tmp_path)
+    rows = load_sample_rows(tmp_path)
+    (tmp_path / "samples.json").write_text(json.dumps(rows[:5]), encoding="utf-8")
+    with pytest.raises(ValueError, match="one row for each of the manifest's 6 samples"):
+        load_sample_rows(tmp_path)
 
 def test_splits_file_matches_split_function(tmp_path):
     geom, tx = small_setup()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risopt import (
+    PHASE_TABLE,
     ChannelMatrices,
     PhaseConfig,
     RisGeometry,
@@ -36,27 +37,27 @@ def random_channels(rng, n_rows, m_cols):
 
 # ---------------------------------------------------------------- oracles
 
-def oracle_gain(ch, states, table):
+def oracle_gain(ch, states):
     total = 0.0 + 0.0j
     n_rows, m_cols = ch.shape
     for n in range(n_rows):
         for m in range(m_cols):
-            total += ch.h[n, m] * np.exp(1j * np.deg2rad(table[states[n, m]])) * ch.g[n, m]
+            total += ch.h[n, m] * np.exp(1j * np.deg2rad(PHASE_TABLE[states[n, m]])) * ch.g[n, m]
     return total
 
 
-def oracle_im(ch, table, init_states):
+def oracle_im(ch, init_states):
     """Greedy raster sweep, recomputing the objective from scratch every trial."""
     states = init_states.copy()
-    best = abs(oracle_gain(ch, states, table))
+    best = abs(oracle_gain(ch, states))
     n_rows, m_cols = ch.shape
     history = []
     for n in range(n_rows):
         for m in range(m_cols):
-            for p in range(len(table)):
+            for p in (0, 1):
                 trial = states.copy()
                 trial[n, m] = p
-                val = abs(oracle_gain(ch, trial, table))
+                val = abs(oracle_gain(ch, trial))
                 if val > best:
                     best = val
                     states = trial
@@ -64,7 +65,7 @@ def oracle_im(ch, table, init_states):
     return states, best, history
 
 
-def reference_im(ch, table, init, *, use_incremental):
+def reference_im(ch, init, *, use_incremental):
     """Element-wise search built from the public per-trial helpers.
 
     Each trial either updates the running sum with ``flip_delta``
@@ -72,7 +73,7 @@ def reference_im(ch, table, init, *, use_incremental):
     every commit builds a new ``PhaseConfig``.  The incremental variant
     does the arithmetic of ``im_optimize``'s scalar kernel, so the two must
     agree bit for bit; the recompute variant agrees to rounding only, and
-    on exact ties (a 1x1 surface, where rotating every state keeps the
+    on exact ties (a 1x1 surface, where flipping the element keeps the
     magnitude) it may commit a different state.
     """
     cfg = init
@@ -82,7 +83,7 @@ def reference_im(ch, table, init, *, use_incremental):
     n_rows, m_cols = ch.shape
     for row in range(n_rows):
         for col in range(m_cols):
-            for state in range(len(table)):
+            for state in (0, 1):
                 if use_incremental:
                     cand_sum = flip_delta(ch, cfg, row, col, state, current)
                 else:
@@ -96,7 +97,7 @@ def reference_im(ch, table, init, *, use_incremental):
     return cfg, OptimizeTrace(len(history), np.array(history), best)
 
 
-def reference_gim(ch, table, orientation, *, use_incremental):
+def reference_gim(ch, orientation, *, use_incremental):
     """Stripe-wise search with either O(1) stripe updates or full recomputes.
 
     The same tie caveat as ``reference_im`` applies to a single stripe.
@@ -105,18 +106,18 @@ def reference_gim(ch, table, orientation, *, use_incremental):
     n_stripes = n_rows if orientation == "horizontal" else m_cols
     hg = ch.h * ch.g
     stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
-    phasor = np.exp(1j * np.deg2rad(np.asarray(table)))
+    phasor = np.exp(1j * np.deg2rad(np.asarray(PHASE_TABLE)))
     stripe_states = np.zeros(n_stripes, dtype=np.int64)
     current = complex(hg.sum() * phasor[0])
     best = -np.inf
     history = []
     for i in range(n_stripes):
         committed = int(stripe_states[i])
-        for j in range(len(table)):
+        for j in (0, 1):
             if not use_incremental:
                 trial = stripe_states.copy()
                 trial[i] = j
-                cand_sum = cascade_gain(ch, expand_stripe(trial, orientation, ch.shape, table))
+                cand_sum = cascade_gain(ch, expand_stripe(trial, orientation, ch.shape))
             elif j == committed:
                 cand_sum = current
             else:
@@ -155,32 +156,28 @@ def assert_matches_recompute(got, want, ties_possible):
                                want_trace.best_objective_history, rtol=1e-9)
 
 
-def decode_states(enc, n_rows, m_cols, num_states):
+def decode_states(enc, n_rows, m_cols):
     states = np.zeros((n_rows, m_cols), dtype=np.int64)
     for i in range(n_rows * m_cols):
-        states[i // m_cols, i % m_cols] = enc % num_states
-        enc //= num_states
+        states[i // m_cols, i % m_cols] = enc % 2
+        enc //= 2
     return states
 
 
-def oracle_enumerate(ch, table):
+def oracle_enumerate(ch):
     """Little-endian raster enumeration.
 
-    Stepping every element forward one table entry never changes the
-    objective, so the argmax is a tie class; the lowest encoding within
-    a 1e-12 relative band of the maximum wins, matching the library.
+    Flipping every element never changes the objective, so the argmax is
+    a tie class; the lowest encoding within a 1e-12 relative band of the
+    maximum wins, matching the library.
     """
     n_rows, m_cols = ch.shape
-    num_states = len(table)
-    n_configs = num_states ** (n_rows * m_cols)
-    vals = [
-        abs(oracle_gain(ch, decode_states(e, n_rows, m_cols, num_states), table))
-        for e in range(n_configs)
-    ]
+    n_configs = 2 ** (n_rows * m_cols)
+    vals = [abs(oracle_gain(ch, decode_states(e, n_rows, m_cols))) for e in range(n_configs)]
     best_val = max(vals)
     for e, v in enumerate(vals):
         if v >= best_val * (1 - 1e-12):
-            return decode_states(e, n_rows, m_cols, num_states), v
+            return decode_states(e, n_rows, m_cols), v
     raise AssertionError("unreachable")
 
 
@@ -237,31 +234,18 @@ def test_trace_validation():
 
 def test_im_matches_greedy_oracle():
     rng = np.random.default_rng(17)
-    table = (0.0, 180.0)
     for _ in range(20):
         n_rows = int(rng.integers(1, 7))
         m_cols = int(rng.integers(1, 7))
         ch = random_channels(rng, n_rows, m_cols)
-        init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)), table)
-        want_states, want_best, want_hist = oracle_im(ch, table, init.states)
-        for cfg, trace in (im_optimize(ch, table, init),
-                           reference_im(ch, table, init, use_incremental=False)):
+        init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
+        want_states, want_best, want_hist = oracle_im(ch, init.states)
+        for cfg, trace in (im_optimize(ch, init),
+                           reference_im(ch, init, use_incremental=False)):
             np.testing.assert_array_equal(cfg.states, want_states)
             assert trace.final_objective == pytest.approx(want_best, rel=1e-9)
             np.testing.assert_allclose(trace.best_objective_history, want_hist,
                                        rtol=1e-9)
-
-
-def test_im_four_state_table():
-    rng = np.random.default_rng(18)
-    table = (0.0, 90.0, 180.0, 270.0)
-    ch = random_channels(rng, 3, 4)
-    init = PhaseConfig.zeros(3, 4, table)
-    want_states, want_best, _ = oracle_im(ch, table, init.states)
-    cfg, trace = im_optimize(ch, table, init)
-    np.testing.assert_array_equal(cfg.states, want_states)
-    assert trace.steps == 3 * 4 * 4
-    assert trace.final_objective == pytest.approx(want_best, rel=1e-9)
 
 
 def test_im_single_element_tie_keeps_incumbent():
@@ -278,7 +262,7 @@ def test_im_never_below_init_objective():
     for _ in range(10):
         ch = random_channels(rng, 4, 4)
         init = PhaseConfig(rng.integers(0, 2, (4, 4)))
-        cfg, trace = im_optimize(ch, (0.0, 180.0), init)
+        cfg, trace = im_optimize(ch, init)
         assert trace.final_objective >= objective(ch, init) - 1e-12
         # tracked best agrees with recomputing the returned config
         assert trace.final_objective == pytest.approx(objective(ch, cfg), rel=1e-9)
@@ -288,7 +272,7 @@ def test_im_rerun_from_output_does_not_decrease():
     rng = np.random.default_rng(20)
     ch = random_channels(rng, 5, 5)
     cfg1, t1 = im_optimize(ch)
-    cfg2, t2 = im_optimize(ch, (0.0, 180.0), cfg1)
+    cfg2, t2 = im_optimize(ch, cfg1)
     assert t2.final_objective >= t1.final_objective - 1e-12
 
 
@@ -305,9 +289,7 @@ def test_im_init_validation():
     rng = np.random.default_rng(22)
     ch = random_channels(rng, 3, 3)
     with pytest.raises(ValueError):
-        im_optimize(ch, (0.0, 180.0), PhaseConfig.zeros(2, 3))
-    with pytest.raises(ValueError):
-        im_optimize(ch, (0.0, 180.0), PhaseConfig.zeros(3, 3, (0.0, 90.0)))
+        im_optimize(ch, PhaseConfig.zeros(2, 3))
 
 
 # ---------------------------------------------------------------- stripe G-IM
@@ -319,24 +301,23 @@ def test_gim_identical_rows_reach_rowwise_brute_force():
     row_h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     row_g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     ch = ChannelMatrices(np.tile(row_h, (4, 1)), np.tile(row_g, (4, 1)))
-    table = (0.0, 180.0)
 
     best_val = -np.inf
     for enc in range(2**4):
         row_states = np.array([(enc >> i) & 1 for i in range(4)])
         full = np.repeat(row_states[:, None], 4, axis=1)
-        best_val = max(best_val, abs(oracle_gain(ch, full, table)))
+        best_val = max(best_val, abs(oracle_gain(ch, full)))
 
-    stripe, trace = gim_optimize(ch, table, "horizontal")
+    stripe, trace = gim_optimize(ch, "horizontal")
     assert trace.final_objective == pytest.approx(best_val, rel=1e-9)
-    full = expand_stripe(stripe, "horizontal", (4, 4), table)
+    full = expand_stripe(stripe, "horizontal", (4, 4))
     assert objective(ch, full) == pytest.approx(best_val, rel=1e-9)
 
 
 def test_gim_zero_channel_keeps_initialization():
     ch = ChannelMatrices(np.ones((3, 4), complex), np.zeros((3, 4), complex))
     for orientation, expected_len in [("horizontal", 3), ("vertical", 4)]:
-        stripe, trace = gim_optimize(ch, (0.0, 180.0), orientation)
+        stripe, trace = gim_optimize(ch, orientation)
         assert stripe.dtype == np.int64
         np.testing.assert_array_equal(stripe, np.zeros(expected_len))
         assert trace.final_objective == 0.0
@@ -346,7 +327,6 @@ def test_gim_zero_channel_keeps_initialization():
 def test_gim_matches_stripe_oracle():
     """Strict-improvement stripe sweep recomputed from scratch in the test."""
     rng = np.random.default_rng(32)
-    table = (0.0, 180.0)
     for orientation in ("horizontal", "vertical"):
         for _ in range(10):
             n_rows = int(rng.integers(2, 6))
@@ -364,14 +344,14 @@ def test_gim_matches_stripe_oracle():
                         full = np.repeat(trial[:, None], m_cols, axis=1)
                     else:
                         full = np.repeat(trial[None, :], n_rows, axis=0)
-                    val = abs(oracle_gain(ch, full, table))
+                    val = abs(oracle_gain(ch, full))
                     if val > best:
                         best = val
                         states = trial
 
             for stripe, trace in (
-                    gim_optimize(ch, table, orientation),
-                    reference_gim(ch, table, orientation, use_incremental=False)):
+                    gim_optimize(ch, orientation),
+                    reference_gim(ch, orientation, use_incremental=False)):
                 np.testing.assert_array_equal(stripe, states)
                 assert trace.final_objective == pytest.approx(best, rel=1e-9)
 
@@ -380,7 +360,7 @@ def test_gim_improves_on_all_zero():
     rng = np.random.default_rng(33)
     for _ in range(10):
         ch = random_channels(rng, 5, 5)
-        stripe, trace = gim_optimize(ch, (0.0, 180.0), "horizontal")
+        stripe, trace = gim_optimize(ch, "horizontal")
         base = objective(ch, PhaseConfig.zeros(5, 5))
         assert trace.final_objective >= base - 1e-12
 
@@ -389,7 +369,7 @@ def test_gim_orientation_validation():
     rng = np.random.default_rng(34)
     ch = random_channels(rng, 3, 3)
     with pytest.raises(ValueError):
-        gim_optimize(ch, (0.0, 180.0), "diagonal")
+        gim_optimize(ch, "diagonal")
 
 
 # ---------------------------------------------------------------- stripes
@@ -420,7 +400,6 @@ def test_combine_property_is_xor_of_expanded_stripes(h_bits, v_bits):
     want = (expand_stripe(h_bits, "horizontal", shape).states
             ^ expand_stripe(v_bits, "vertical", shape).states)
     full = combine_stripes(np.array(h_bits), np.array(v_bits))
-    assert full.phase_table == (0.0, 180.0)
     np.testing.assert_array_equal(full.states, want)
 
 
@@ -434,25 +413,14 @@ def test_stripe_validation():
         combine_stripes(np.array([0.0, 1.0]), pair)
 
 
-@pytest.mark.parametrize("h, v, table", [
-    ([-1, 0], [0, 1], (0.0, 180.0)),  # -1 must not wrap to the last table entry
-    ([0, 1], [0, -1], (0.0, 180.0)),
-    ([0, 2], [0, 1], (0.0, 180.0)),
-    ([0, 1], [4, 0], (0.0, 90.0, 180.0, 270.0)),
+@pytest.mark.parametrize("h, v", [
+    ([-1, 0], [0, 1]),  # -1 must not pass as state 1, as -1 & 1 would
+    ([0, 1], [0, -1]),
+    ([0, 2], [0, 1]),
 ])
-def test_combine_rejects_states_outside_the_table(h, v, table):
-    with pytest.raises(ValueError, match=r"(row|column) states must lie in \[0, "):
-        combine_stripes(np.array(h), np.array(v), table)
-
-
-def test_combine_four_state_phase_addition():
-    table = (0.0, 90.0, 180.0, 270.0)
-    h = np.array([1, 3])  # 90, 270
-    v = np.array([2, 3])  # 180, 270
-    full = combine_stripes(h, v, table)
-    # (90+180)%360=270 -> 3, (90+270)%360=0 -> 0,
-    # (270+180)%360=90 -> 1, (270+270)%360=180 -> 2
-    np.testing.assert_array_equal(full.states, [[3, 0], [1, 2]])
+def test_combine_rejects_states_outside_the_table(h, v):
+    with pytest.raises(ValueError, match=r"(row|column) states must be 0 or 1"):
+        combine_stripes(np.array(h), np.array(v))
 
 
 # ---------------------------------------------------------------- exhaustive
@@ -482,20 +450,10 @@ def test_exhaustive_matches_loop_enumeration():
         n_rows = int(rng.integers(1, 4))
         m_cols = int(rng.integers(1, 4))
         ch = random_channels(rng, n_rows, m_cols)
-        want_states, want_val = oracle_enumerate(ch, (0.0, 180.0))
+        want_states, want_val = oracle_enumerate(ch)
         cfg, val = exhaustive_optimize(ch)
         np.testing.assert_array_equal(cfg.states, want_states)
         assert val == pytest.approx(want_val, rel=1e-12)
-
-
-def test_exhaustive_multi_state():
-    rng = np.random.default_rng(42)
-    table = (0.0, 120.0, 240.0)
-    ch = random_channels(rng, 2, 2)
-    want_states, want_val = oracle_enumerate(ch, table)
-    cfg, val = exhaustive_optimize(ch, table)
-    np.testing.assert_array_equal(cfg.states, want_states)
-    assert val == pytest.approx(want_val, rel=1e-12)
 
 
 def test_exhaustive_size_guard():
@@ -524,19 +482,18 @@ def test_incremental_and_recompute_commit_identically():
         n_rows = int(rng.integers(2, 9))
         m_cols = int(rng.integers(2, 9))
         ch = random_channels(rng, n_rows, m_cols)
-        table = (0.0, 180.0)
         zeros = PhaseConfig.zeros(n_rows, m_cols)
         got = im_optimize(ch)
-        assert_bit_identical(got, reference_im(ch, table, zeros, use_incremental=True))
+        assert_bit_identical(got, reference_im(ch, zeros, use_incremental=True))
         assert_matches_recompute(
-            got, reference_im(ch, table, zeros, use_incremental=False),
+            got, reference_im(ch, zeros, use_incremental=False),
             ties_possible=False)
         for orientation in ("horizontal", "vertical"):
             got = gim_optimize(ch, orientation=orientation)
             assert_bit_identical(
-                got, reference_gim(ch, table, orientation, use_incremental=True))
+                got, reference_gim(ch, orientation, use_incremental=True))
             assert_matches_recompute(
-                got, reference_gim(ch, table, orientation, use_incremental=False),
+                got, reference_gim(ch, orientation, use_incremental=False),
                 ties_possible=False)
 
 
@@ -547,57 +504,51 @@ def test_im_bit_identical_to_reference_on_desk_channels():
     for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
         ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
         assert_bit_identical(im_optimize(ch),
-                             reference_im(ch, (0.0, 180.0), zeros, use_incremental=True))
+                             reference_im(ch, zeros, use_incremental=True))
 
 
-@pytest.mark.parametrize("table", [(0.0, 180.0), (0.0, 90.0, 180.0, 270.0)])
-def test_gim_bit_identical_to_reference_on_desk_channels(table):
+def test_gim_bit_identical_to_reference_on_desk_channels():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
     illum = compute_illumination(geom, TxSpec(1.0))
     for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
         ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
         for orientation in ("horizontal", "vertical"):
             assert_bit_identical(
-                gim_optimize(ch, table, orientation),
-                reference_gim(ch, table, orientation, use_incremental=True))
+                gim_optimize(ch, orientation),
+                reference_gim(ch, orientation, use_incremental=True))
 
 
 @st.composite
 def greedy_instances(draw):
-    """Seeded Gaussian channel, distinct random phase table, optional init."""
+    """Seeded Gaussian channel and optional random init."""
     n_rows = draw(st.integers(1, 6))
     m_cols = draw(st.integers(1, 6))
-    num_states = draw(st.integers(1, 4))
-    # a 0.1 degree grid keeps distinct entries from rounding into near-ties
-    tenths = draw(st.lists(st.integers(0, 3599), min_size=num_states,
-                           max_size=num_states, unique=True))
-    table = tuple(t / 10 for t in tenths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ch = random_channels(rng, n_rows, m_cols)
     init = None
     if draw(st.booleans()):
-        init = PhaseConfig(rng.integers(0, num_states, (n_rows, m_cols)), table)
-    return ch, table, init
+        init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
+    return ch, init
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_instances())
 def test_im_property_matches_reference_searches(instance):
-    ch, table, init = instance
-    start = init if init is not None else PhaseConfig.zeros(*ch.shape, table)
-    got = im_optimize(ch, table, init)
-    assert_bit_identical(got, reference_im(ch, table, start, use_incremental=True))
-    assert_matches_recompute(got, reference_im(ch, table, start, use_incremental=False),
+    ch, init = instance
+    start = init if init is not None else PhaseConfig.zeros(*ch.shape)
+    got = im_optimize(ch, init)
+    assert_bit_identical(got, reference_im(ch, start, use_incremental=True))
+    assert_matches_recompute(got, reference_im(ch, start, use_incremental=False),
                              ties_possible=ch.h.size == 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_instances(), st.sampled_from(("horizontal", "vertical")))
 def test_gim_property_matches_reference_searches(instance, orientation):
-    ch, table, _ = instance
+    ch, _ = instance
     n_stripes = ch.shape[0] if orientation == "horizontal" else ch.shape[1]
-    got = gim_optimize(ch, table, orientation)
-    assert_bit_identical(got, reference_gim(ch, table, orientation, use_incremental=True))
+    got = gim_optimize(ch, orientation)
+    assert_bit_identical(got, reference_gim(ch, orientation, use_incremental=True))
     assert_matches_recompute(
-        got, reference_gim(ch, table, orientation, use_incremental=False),
+        got, reference_gim(ch, orientation, use_incremental=False),
         ties_possible=n_stripes == 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from risopt import (
+    PHASE_TABLE,
     ChannelMatrices,
     DegeneratePowerError,
     Illumination,
@@ -76,7 +77,7 @@ def oracle_field(geom, illum, cfg, elev_deg, azim_deg):
     total = 0.0 + 0.0j
     for n in range(geom.n_rows):
         for m in range(geom.m_cols):
-            refl = np.deg2rad(cfg.phase_table[cfg.states[n, m]])
+            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
             steer = k0 * (
                 m * geom.dx * np.sin(t) * np.cos(p)
                 + n * geom.dy * np.sin(t) * np.sin(p)
@@ -96,7 +97,7 @@ def oracle_gain(ch, cfg):
     n_rows, m_cols = ch.shape
     for n in range(n_rows):
         for m in range(m_cols):
-            refl = np.deg2rad(cfg.phase_table[cfg.states[n, m]])
+            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
             total += ch.h[n, m] * np.exp(1j * refl) * ch.g[n, m]
     return total
 
@@ -179,28 +180,18 @@ def test_direction_unit_matches_oracle():
 
 def test_phase_config_lookup_and_copy():
     cfg = PhaseConfig(np.array([[0, 1], [1, 0]]))
-    np.testing.assert_array_equal(cfg.phases_deg(), [[0.0, 180.0], [180.0, 0.0]])
+    np.testing.assert_array_equal(cfg.phases_rad(), [[0.0, np.pi], [np.pi, 0.0]])
     cfg2 = with_state(cfg, 0, 0, 1)
     assert cfg2.states[0, 0] == 1
     assert cfg.states[0, 0] == 0  # original untouched
-    assert cfg.num_states == 2
 
 
 def test_phase_config_validation():
-    with pytest.raises(ValueError):
-        PhaseConfig(np.array([[0, 2]]))  # index beyond table
-    with pytest.raises(ValueError):
-        PhaseConfig(np.array([[0, 0]]), phase_table=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        PhaseConfig(np.array([[0, 0]]), phase_table=(0.0, 360.0))
+    for states in ([[0, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="states must be 0 or 1"):
+            PhaseConfig(np.array(states))
     with pytest.raises(ValueError):
         PhaseConfig(np.array([0, 1]))  # not 2-D
-
-
-def test_multi_state_table():
-    cfg = PhaseConfig(np.array([[0, 1, 2, 3]]), phase_table=(0.0, 90.0, 180.0, 270.0))
-    np.testing.assert_array_equal(cfg.phases_deg(), [[0.0, 90.0, 180.0, 270.0]])
-    assert cfg.num_states == 4
 
 
 # ---------------------------------------------------------------- illumination
@@ -295,12 +286,12 @@ def test_scattered_field_shape_mismatch():
 
 
 def test_global_phase_offset_preserves_magnitude():
-    # Adding a constant to every table entry rotates the field but not |E|.
+    # Flipping every element adds 180 degrees to each phase: it rotates the
+    # field but not |E|.
     rng = np.random.default_rng(51)
     geom, tx, _, cfg = random_instance(rng)
     illum = compute_illumination(geom, tx)
-    shifted = PhaseConfig(cfg.states,
-                          tuple((v + 90.0) % 360.0 for v in cfg.phase_table))
+    shifted = PhaseConfig(1 - cfg.states)
     e0 = scattered_field(geom, illum, cfg, 25.0, 40.0)
     e1 = scattered_field(geom, illum, shifted, 25.0, 40.0)
     assert abs(abs(e0) - abs(e1)) < 1e-12 * abs(e0)
@@ -363,8 +354,7 @@ def test_pattern_crosses_block_boundary_on_desk_surface():
 def test_pattern_non_square_surface():
     geom = RisGeometry.half_wavelength(96, 128, 5e9)
     illum = compute_illumination(geom, TxSpec(1.0, 20.0, 45.0))
-    cfg = PhaseConfig(np.random.default_rng(63).integers(0, 4, (128, 96)),
-                      (0.0, 90.0, 180.0, 270.0))
+    cfg = PhaseConfig(np.random.default_rng(63).integers(0, 2, (128, 96)))
     assert_pattern_matches_field(geom, illum, cfg, np.arange(-60.0, 61.0, 10.0),
                                  np.arange(0.0, 360.0, 20.0))
 
@@ -433,7 +423,7 @@ def test_flip_delta_matches_recompute():
         for _ in range(25):
             row = int(rng.integers(0, geom.n_rows))
             col = int(rng.integers(0, geom.m_cols))
-            new_state = int(rng.integers(0, cfg.num_states))
+            new_state = int(rng.integers(0, 2))
             updated = flip_delta(ch, cfg, row, col, new_state, current)
             cfg = with_state(cfg, row, col, new_state)
             full = cascade_gain(ch, cfg)
