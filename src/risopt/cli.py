@@ -13,10 +13,12 @@ import argparse
 import functools
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
+from risopt import cnn
 from risopt.cnn import (
     TrainConfig,
     load_model,
@@ -32,6 +34,7 @@ from risopt.data import (
     _write_json,
     generate_dataset,
     load_arrays,
+    load_manifest,
     load_splits,
 )
 from risopt.evaluate import evaluate_split, power_db
@@ -137,23 +140,32 @@ def build_parser() -> argparse.ArgumentParser:
     Every ``main`` call shares it: parsing only reads the parser and its
     immutable defaults, and returns a fresh namespace each time.
     """
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--ris-m", type=_int_from(1), default=40,
-                        help="elements per row, the column count (default 40)")
-    shared.add_argument("--ris-n", type=_int_from(1), default=40,
-                        help="elements per column, the row count (default 40)")
-    shared.add_argument("--freq-ghz", type=_frequency_ghz, default=5.0,
-                        help="carrier frequency in GHz (default 5)")
-    shared.add_argument("--spacing", type=_positive, default=None,
-                        help="element spacing in meters (default: half wavelength)")
-    shared.add_argument("--tx-dist", type=_positive, default=1.0,
-                        help="boresight transmitter distance in meters (default 1)")
-    shared.add_argument("--rx-dist", type=_positive, default=10.0,
-                        help="receiver distance in meters (default 10)")
-    shared.add_argument("--seed", type=_int_from(0), default=0,
-                        help="seed for every random choice (default 0)")
-    shared.add_argument("--flat-tx-phase", action="store_true",
-                        help="drop the per-element near-field transmit phase")
+    surface_flags = [  # (flag, argparse type or None for a switch, default, help)
+        ("--ris-m", _int_from(1), 40, "elements per row, the column count (default 40)"),
+        ("--ris-n", _int_from(1), 40, "elements per column, the row count (default 40)"),
+        ("--freq-ghz", _frequency_ghz, 5.0, "carrier frequency in GHz (default 5)"),
+        ("--spacing", _positive, None, "element spacing in meters (default: half wavelength)"),
+        ("--tx-dist", _positive, 1.0, "boresight transmitter distance in meters (default 1)"),
+        ("--rx-dist", _positive, 10.0, "receiver distance in meters (default 10)"),
+        ("--flat-tx-phase", None, False, "drop the per-element near-field transmit phase"),
+    ]
+
+    def shared_parser(from_dataset: bool) -> argparse.ArgumentParser:
+        # train and eval take the surface from the dataset: there a flag
+        # defaults to None (not given) and is only checked against it
+        shared = argparse.ArgumentParser(add_help=False)
+        for flag, kind, default, text in surface_flags:
+            if from_dataset:
+                default, text = None, "optional; must match the dataset"
+            if kind is None:
+                shared.add_argument(flag, action="store_true", default=default, help=text)
+            else:
+                shared.add_argument(flag, type=kind, default=default, help=text)
+        shared.add_argument("--seed", type=_int_from(0), default=0,
+                            help="seed for every random choice (default 0)")
+        return shared
+
+    shared, from_dataset = shared_parser(False), shared_parser(True)
 
     parser = argparse.ArgumentParser(
         prog="risopt",
@@ -174,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[shared],
+    p = sub.add_parser("train", parents=[from_dataset],
                        help="train the prediction network on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--lr", type=_non_negative, default=1e-3,
@@ -185,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared],
+    p = sub.add_parser("eval", parents=[from_dataset],
                        help="score IM vs G-IM vs CNN-G-IM on a dataset split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--weights", required=True, help="trained weights file")
@@ -237,6 +249,32 @@ def _surface(args) -> tuple:
     return geom, tx, illum
 
 
+def _check_dataset_flags(args) -> None:
+    """train and eval take the surface from the dataset's manifest: a
+    surface flag given with a different value is a usage error."""
+    manifest = load_manifest(args.data)
+    geom = manifest.geometry
+    freq_hz = None if args.freq_ghz is None else args.freq_ghz * 1e9
+    spacing = None if args.spacing is None else (args.spacing, args.spacing)
+    for flag, given, stored, shown in [
+        ("--ris-m", args.ris_m, geom.m_cols, geom.m_cols),
+        ("--ris-n", args.ris_n, geom.n_rows, geom.n_rows),
+        ("--freq-ghz", freq_hz, geom.carrier_freq, geom.carrier_freq / 1e9),
+        ("--spacing", spacing, (geom.dx, geom.dy),
+         geom.dx if geom.dx == geom.dy else (geom.dx, geom.dy)),
+        ("--tx-dist", args.tx_dist, manifest.tx.distance, manifest.tx.distance),
+        ("--rx-dist", args.rx_dist, manifest.rx_distance_m, manifest.rx_distance_m),
+        ("--flat-tx-phase", args.flat_tx_phase, manifest.flat_tx_phase, manifest.flat_tx_phase),
+    ]:
+        if given is not None and given != stored:
+            raise _UsageError(f"{flag} does not match the dataset {args.data}, "
+                              f"whose manifest has {shown!r}")
+
+
+def _stderr(line: str) -> None:
+    print(line, file=sys.stderr, flush=True)
+
+
 def cmd_generate(args) -> int:
     geom, tx, _ = _surface(args)
     try:
@@ -245,9 +283,13 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --grid-az, --grid-el and --grid-step") from None
 
+    def progress(done, total):
+        if done == total or done % max(1, total // 20) == 0:
+            _stderr(f"generated {done}/{total} samples")
+
     manifest = generate_dataset(
-        geom, tx, args.rx_dist, grid, args.out,
-        split_ratios=args.split, split_seed=args.seed, flat_tx_phase=args.flat_tx_phase)
+        geom, tx, args.rx_dist, grid, args.out, split_ratios=args.split,
+        split_seed=args.seed, flat_tx_phase=args.flat_tx_phase, progress=progress)
     counts = manifest.counts
     print(f"samples={counts['total']} train={counts['train']} "
           f"val={counts['val']} test={counts['test']}")
@@ -256,16 +298,24 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_dataset_flags(args)
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
     inputs, targets = load_arrays(args.data)
     model = make_model(args.seed)
+
+    def progress(epoch, train_loss, val_loss):
+        _stderr(f"epoch {epoch}/{cfg.max_epochs} train_loss={train_loss:.6g} "
+                f"val_loss={val_loss:.6g}")
+
+    t0 = time.perf_counter()
     trained, history = train(
         model,
         (inputs[splits["train"]], targets[splits["train"]]),
         (inputs[splits["val"]], targets[splits["val"]]),
-        cfg)
+        cfg, progress)
+    train_seconds = time.perf_counter() - t0
 
     weights_out = Path(args.weights_out)
     weights_out.parent.mkdir(parents=True, exist_ok=True)
@@ -284,6 +334,11 @@ def cmd_train(args) -> int:
         "epochs_run": len(history),
         "final_train_loss": history[-1][1],
         "final_val_loss": history[-1][2],
+        "train_seconds": train_seconds,
+        "samples_per_s": len(history) * len(splits["train"]) / train_seconds,
+        "numpy": np.__version__,
+        "blas_threads": cnn.BLAS_THREADS,
+        "conv_threads": cnn.CONV_THREADS,
     })
     print(f"epochs={len(history)} final_val_loss={history[-1][2]!r}")
     print(f"weights={weights_out}")
@@ -292,6 +347,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_dataset_flags(args)
     model = load_model(args.weights)
     report = evaluate_split(args.data, model, args.split,
                             noise_snr_db=args.snr_db, noise_seed=args.seed)

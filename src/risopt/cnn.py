@@ -19,11 +19,26 @@ gives one contiguous slab view per kernel offset, starting at row
 ``dy * Wp + dx``.  Each offset is one GEMM accumulated in place, with no
 im2col copy; the ``Wp - W`` wrap columns are cropped.  The backward pass
 uses the same slabs for ``dW`` and the input gradient.
+
+When a core is idle, every conv layer runs on two threads: numpy
+releases the GIL inside BLAS, so one module-level worker thread takes
+half of the layer's GEMMs.  The forward pass splits the output rows at
+``(H // 2) * Wp``, and each half runs the same per-offset loop over its
+own rows; the backward pass gives the worker all the ``dW`` GEMMs while
+the calling thread accumulates the input gradient.  Every GEMM and
+every accumulation order is the same as on one thread, so results are
+bit-identical either way.  A core counts as idle when the process may
+run on more cores than numpy's OpenBLAS uses (read once at import);
+where that thread count cannot be read, everything runs inline.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +145,64 @@ def make_model(
 
 # ------------------------------------------------------------------ conv core
 
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None if it cannot
+    be read."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/lib*openblas*.so*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(dll, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def _conv_threads(blas_threads) -> int:
+    """2 when the process may run on more cores than BLAS uses, else 1."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if blas_threads is not None and (cores or 1) > blas_threads else 1
+
+
+# read once at import: BLAS's thread count (None if unreadable), and the
+# number of threads each conv layer runs on
+BLAS_THREADS = _blas_threads()
+CONV_THREADS = _conv_threads(BLAS_THREADS)
+
+
+@functools.cache
+def _worker():
+    # imported here: concurrent.futures adds about 0.8 MiB to every process
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="risopt-conv")
+
+
+# a forked child has no worker thread: it starts its own on first use
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _on_two_threads(here, there) -> None:
+    """Run ``there`` on the conv worker thread, under this thread's numpy
+    error state, while ``here`` runs on this one."""
+    state = {"call": np.geterrcall(), **np.geterr()}
+
+    def run():
+        with np.errstate(**state):
+            there()
+
+    pending = _worker().submit(run)
+    try:
+        here()
+    finally:
+        pending.result()
+
+
 def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     """Shifted-slab same conv of (H, W, cin) ``x``: (H, W, cout) pre-activation
     and the flat padded input that :func:`_conv_backward` needs."""
@@ -140,10 +213,18 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     xp = np.pad(x, (((kh - 1) // 2, kh // 2 + 1), ((kw - 1) // 2, kw // 2), (0, 0)))
     xp = xp.reshape(-1, cin)
     z = np.full((n, cout), bias, dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            off = dy * wp + dx
-            z += xp[off:off + n] @ weights[dy, dx]
+
+    def rows(lo, hi):
+        for dy in range(kh):
+            for dx in range(kw):
+                off = dy * wp + dx
+                z[lo:hi] += xp[off + lo:off + hi] @ weights[dy, dx]
+
+    if CONV_THREADS == 2:
+        mid = (h // 2) * wp
+        _on_two_threads(lambda: rows(0, mid), lambda: rows(mid, n))
+    else:
+        rows(0, n)
     return z.reshape(h, wp, cout)[:, :w], xp
 
 
@@ -154,13 +235,23 @@ def _conv_backward(xp: np.ndarray, weights: np.ndarray, dz: np.ndarray):
     wp, n = w + kw - 1, h * (w + kw - 1)
     # the wrap columns were cropped in the forward pass: their gradient is zero
     dzp = np.pad(dz, ((0, 0), (0, kw - 1), (0, 0))).reshape(n, cout)
+    offsets = [(dy, dx, dy * wp + dx) for dy in range(kh) for dx in range(kw)]
     dw = np.empty_like(weights)
     dxp = np.zeros_like(xp)
-    for dy in range(kh):
-        for dx in range(kw):
-            off = dy * wp + dx
+
+    def weight_grads():
+        for dy, dx, off in offsets:
             dw[dy, dx] = xp[off:off + n].T @ dzp
+
+    def input_grads():
+        for dy, dx, off in offsets:
             dxp[off:off + n] += dzp @ weights[dy, dx].T
+
+    if CONV_THREADS == 2:
+        _on_two_threads(input_grads, weight_grads)
+    else:
+        weight_grads()
+        input_grads()
     top, left = (kh - 1) // 2, (kw - 1) // 2
     dx = dxp.reshape(-1, wp, cin)[top:top + h, left:left + w]
     return dw, dz.reshape(-1, cout).sum(axis=0), dx
@@ -316,7 +407,7 @@ def _as_dataset(name, data, dtype):
     return inputs, targets
 
 
-def train(model: Model, train_set, val_set, cfg: TrainConfig) -> tuple:
+def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> tuple:
     """Mini-batch ADAM training with early stopping on validation loss.
 
     Per epoch: seeded shuffle, gradient averaged over each batch, one
@@ -328,7 +419,8 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig) -> tuple:
 
     Returns ``(trained model, history)`` where history rows are
     ``(epoch, train_loss, val_loss)`` with 1-based epoch numbers.  The
-    input model is not modified.
+    input model is not modified.  ``progress``, if given, is called with
+    each history row as soon as its epoch ends.
     """
     dtype = model.convs[0].weights.dtype
     train_x, train_y = _as_dataset("train", train_set, dtype)
@@ -374,6 +466,8 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig) -> tuple:
             raise ValueError(f"epoch {epoch}: loss is not finite "
                              f"(train {train_loss}, val {val_loss})")
         history.append((epoch, float(train_loss), float(val_loss)))
+        if progress is not None:
+            progress(*history[-1])
 
         if val_loss < best_val:
             best_val = val_loss

@@ -63,3 +63,39 @@ def load_report_csv(path) -> list:
             raise ValueError("ragged report row")
         out.append({c: float(v) for c, v in zip(CSV_COLUMNS, vals)})
     return out
+
+
+def serial_conv_forward(x, weights, bias):
+    """The shifted-slab conv of ``cnn._conv_forward`` on one thread: every
+    kernel offset is one GEMM over all output rows, accumulated in order.
+    Returns the (H, W, cout) pre-activation and the flat padded input."""
+    kh, kw, cin, cout = weights.shape
+    h, w, _ = x.shape
+    wp, n = w + kw - 1, h * (w + kw - 1)
+    xp = np.pad(x, (((kh - 1) // 2, kh // 2 + 1), ((kw - 1) // 2, kw // 2), (0, 0)))
+    xp = xp.reshape(-1, cin)
+    z = np.full((n, cout), bias, dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            off = dy * wp + dx
+            z += xp[off:off + n] @ weights[dy, dx]
+    return z.reshape(h, wp, cout)[:, :w], xp
+
+
+def serial_conv_backward(xp, weights, dz):
+    """(dW, db, dx) of :func:`serial_conv_forward` on one thread, the
+    weight and input gradients interleaved offset by offset."""
+    kh, kw, cin, cout = weights.shape
+    h, w, _ = dz.shape
+    wp, n = w + kw - 1, h * (w + kw - 1)
+    dzp = np.pad(dz, ((0, 0), (0, kw - 1), (0, 0))).reshape(n, cout)
+    dw = np.empty_like(weights)
+    dxp = np.zeros_like(xp)
+    for dy in range(kh):
+        for dx in range(kw):
+            off = dy * wp + dx
+            dw[dy, dx] = xp[off:off + n].T @ dzp
+            dxp[off:off + n] += dzp @ weights[dy, dx].T
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    dx = dxp.reshape(-1, wp, cin)[top:top + h, left:left + w]
+    return dw, dz.reshape(-1, cout).sum(axis=0), dx

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from risopt import cnn
 from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
 from risopt.data import AngularGrid, load_manifest, load_splits
@@ -158,6 +159,37 @@ def test_train_wrote_weights_history_and_run(pipeline):
     assert run["epochs_run"] == 2
     assert run["seed"] == 1
     assert run["batch_size"] == 4
+    # 2 epochs over the 7 training samples
+    assert run["train_seconds"] > 0
+    assert run["samples_per_s"] == pytest.approx(2 * 7 / run["train_seconds"])
+    assert run["numpy"] == np.__version__
+    assert run["blas_threads"] == cnn.BLAS_THREADS
+    assert run["conv_threads"] == cnn.CONV_THREADS in (1, 2)
+
+
+def test_train_and_generate_report_progress_on_stderr(pipeline, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", *BASE, "--grid-az", "0,40", "--grid-el=-20,20",
+                 "--grid-step", "20", "--out", str(ds)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"samples=9 train=7 val=1 test=1\nmanifest={ds / 'manifest.json'}\n"
+    assert captured.err.splitlines() == [f"generated {i}/9 samples" for i in range(1, 10)]
+
+    weights = tmp_path / "net.rist"
+    assert main(["train", *BASE, "--data", str(ds), "--weights-out", str(weights),
+                 "--max-epochs", "2", "--batch", "4", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    history = (tmp_path / "net_history.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert captured.out.splitlines() == [
+        f"epochs=2 final_val_loss={history[-1].split(',')[2]}",
+        f"weights={weights}", f"history={tmp_path / 'net_history.csv'}"]
+    assert len(captured.err.splitlines()) == 2
+    for line, row in zip(captured.err.splitlines(), history):
+        epoch, train_loss, val_loss = row.split(",")
+        assert line == (f"epoch {epoch}/2 train_loss={float(train_loss):.6g} "
+                        f"val_loss={float(val_loss):.6g}")
+    # progress output leaves the seeded files as they were
+    assert weights.read_bytes() == pipeline["weights"].read_bytes()
 
 
 def test_train_is_seed_reproducible(pipeline, tmp_path):
@@ -567,3 +599,56 @@ def test_out_of_range_split_index_is_runtime_error(pipeline, tmp_path, capsys, c
     assert err.startswith("error: ")
     assert "split 'test' must list sample indices in [0, 9)" in err
     assert not out.exists()
+
+
+# a 12x10 surface: the default 40x40 would mask a dropped --ris-m or --ris-n
+_SURFACE_12X10 = ["--ris-m", "12", "--ris-n", "10", "--freq-ghz", "10",
+                  "--tx-dist", "0.6", "--rx-dist", "4"]
+
+
+@pytest.fixture(scope="module")
+def surface_12x10(tmp_path_factory):
+    root = tmp_path_factory.mktemp("surface")
+    ds, weights = root / "ds", root / "net.rist"
+    assert main(["generate", *_SURFACE_12X10, "--grid-az", "0,20", "--grid-el", "0,20",
+                 "--grid-step", "20", "--split", "0.5,0.25,0.25", "--out", str(ds)]) == 0
+    assert main(["train", "--data", str(ds), "--weights-out", str(weights),
+                 "--max-epochs", "1"]) == 0
+    return ds, weights
+
+
+def _dataset_command(command, ds, weights, out):
+    if command == "train":
+        return ["train", "--data", str(ds), "--max-epochs", "1", "--weights-out", str(out)]
+    return ["eval", "--data", str(ds), "--weights", str(weights), "--report-out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flags, named", [
+    (["--ris-m", "3", "--freq-ghz", "99", "--flat-tx-phase"], "--ris-m"),
+    (["--ris-n", "12"], "--ris-n"),
+    (["--freq-ghz", "99"], "--freq-ghz"),
+    (["--spacing", "0.015"], "--spacing"),
+    (["--tx-dist", "1"], "--tx-dist"),
+    (["--rx-dist", "10"], "--rx-dist"),
+    (["--flat-tx-phase"], "--flat-tx-phase"),
+])
+def test_surface_flag_that_contradicts_the_dataset_is_usage_error(
+        surface_12x10, tmp_path, capsys, command, flags, named):
+    # train and eval take the surface from the manifest; a flag that says
+    # otherwise is refused before any work, naming the flag
+    out = tmp_path / "out"
+    assert main([*_dataset_command(command, *surface_12x10, out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} does not match the dataset ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_surface_flags_that_match_the_dataset_are_accepted(surface_12x10, tmp_path, command):
+    ds = surface_12x10[0]
+    spacing = repr(load_manifest(ds).geometry.dx)
+    out = tmp_path / "out"
+    assert main([*_dataset_command(command, *surface_12x10, out),
+                 *_SURFACE_12X10, "--spacing", spacing]) == 0
+    assert out.exists()

@@ -1,11 +1,23 @@
 """Network layers vs. naive convolution and finite-difference oracles."""
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from risopt import cnn
 from risopt.cnn import (
+    DEFAULT_CHANNELS,
+    DEFAULT_KERNELS,
     AdamState,
     ConvLayer,
     Model,
@@ -24,7 +36,7 @@ from risopt.cnn import (
     stripe_states,
     train,
 )
-from oracles import expand_stripe, num_parameters
+from oracles import expand_stripe, num_parameters, serial_conv_backward, serial_conv_forward
 
 
 # ---------------------------------------------------------------- oracles
@@ -367,6 +379,198 @@ def test_adam_identical_gradients_update_identically():
     assert float(new_params[0]) == float(new_params[1])
 
 
+# ---------------------------------------------------------------- two threads
+
+@pytest.fixture(params=[1, 2], ids=["inline", "split"])
+def conv_threads(request, monkeypatch):
+    """Run the conv layers inline, or split over the worker thread."""
+    monkeypatch.setattr(cnn, "CONV_THREADS", request.param)
+    return request.param
+
+
+_THREAD_CASES = [  # (kh, kw, cin, cout, h, w)
+    # the default network at 40x40, layer by layer
+    *[(k, k, cin, cout, 40, 40)
+      for k, cin, cout in zip(DEFAULT_KERNELS, DEFAULT_CHANNELS, DEFAULT_CHANNELS[1:])],
+    (3, 3, 4, 8, 7, 10),  # odd height: the two halves differ by one row
+    (5, 5, 32, 16, 5, 9),  # height equal to the largest kernel
+    (5, 5, 3, 2, 5, 5),
+    (1, 1, 3, 2, 1, 4),  # one row: the calling thread's half is empty
+    (3, 2, 3, 5, 7, 6),  # even kernels
+    (2, 4, 3, 5, 6, 7),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw, cin, cout, h, w", _THREAD_CASES)
+def test_conv_bit_identical_to_serial_kernel(conv_threads, dtype, kh, kw, cin, cout, h, w):
+    rng = np.random.default_rng([kh, kw, cin, cout, h, w])
+    x = rng.standard_normal((h, w, cin)).astype(dtype)
+    weights = rng.standard_normal((kh, kw, cin, cout)).astype(dtype)
+    bias = rng.standard_normal(cout).astype(dtype)
+    dz = rng.standard_normal((h, w, cout)).astype(dtype)
+
+    z, xp = cnn._conv_forward(x, weights, bias)
+    want_z, want_xp = serial_conv_forward(x, weights, bias)
+    assert z.dtype == dtype and np.array_equal(z, want_z)
+    assert np.array_equal(xp, want_xp)
+    got = cnn._conv_backward(xp, weights, dz)
+    want = serial_conv_backward(want_xp, weights, dz)
+    for name, g, expected in zip(("dW", "db", "dx"), got, want):
+        assert g.dtype == dtype and np.array_equal(g, expected), name
+
+
+def test_conv_follows_the_callers_numpy_error_state(conv_threads):
+    # every row overflows, so both halves of a split see it
+    x = np.full((4, 5, 1), 1e30, dtype=np.float32)
+    weights = np.full((3, 3, 1, 1), 1e30, dtype=np.float32)
+    bias = np.zeros(1, dtype=np.float32)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cnn._conv_forward(x, weights, bias)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, _ = cnn._conv_forward(x, weights, bias)
+    assert np.isinf(z).all()
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often, all handing halves
+    # to the one worker: each must get exactly its own serial result
+    monkeypatch.setattr(cnn, "CONV_THREADS", 2)
+    rng = np.random.default_rng(35)
+    cases = []
+    for h in (5, 8, 11, 14):
+        x = rng.standard_normal((h, 9, 3))
+        weights = rng.standard_normal((3, 5, 3, 4))
+        bias = rng.standard_normal(4)
+        dz = rng.standard_normal((h, 9, 4))
+        z, xp = serial_conv_forward(x, weights, bias)
+        cases.append(((x, weights, bias, dz), (z, *serial_conv_backward(xp, weights, dz))))
+    failures = []
+
+    def call(args, want):
+        x, weights, bias, dz = args
+        for _ in range(30):
+            z, xp = cnn._conv_forward(x, weights, bias)
+            got = (z, *cnn._conv_backward(xp, weights, dz))
+            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                failures.append(x.shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=case) for case in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def _split_forward_in_child(x, weights, bias, want, queue):
+    z, _ = cnn._conv_forward(x, weights, bias)
+    queue.put(bool(np.array_equal(z, want)))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    # the parent's worker thread does not survive a fork; a child that
+    # reused its executor would wait forever on the first split
+    monkeypatch.setattr(cnn, "CONV_THREADS", 2)
+    rng = np.random.default_rng(37)
+    x, weights, bias = rng.standard_normal((6, 5, 2)), rng.standard_normal((3, 3, 2, 3)), np.zeros(3)
+    want, _ = serial_conv_forward(x, weights, bias)
+    cnn._conv_forward(x, weights, bias)  # the parent's worker is running now
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_split_forward_in_child, args=(x, weights, bias, want, queue))
+    child.start()
+    try:
+        assert queue.get(timeout=60) is True
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_bit_identical_inline_and_split(monkeypatch, dtype):
+    rng = np.random.default_rng(31)
+    x = rng.choice([-1.0, 1.0], size=(5, 9, 7, 2))
+    y = rng.choice([-1.0, 1.0], size=(5, 9, 7))
+    model = make_model(32, channels=(2, 4, 8, 1), kernels=(3, 5, 2),
+                       dropout_after=(1,), dtype=dtype)
+    cfg = TrainConfig(batch_size=2, max_epochs=2, patience=10, rng_seed=3, lr=1e-2)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(cnn, "CONV_THREADS", threads)
+        trained, history = train(model, (x, y), (x[:2], y[:2]), cfg)
+        runs.append(([p.tobytes() for p in trained.parameters()], history))
+    assert runs[0] == runs[1]
+
+
+_DECIDE = """
+import json, os, sys, threading
+if sys.argv[1] == "one-core":
+    os.sched_setaffinity(os.getpid(), {min(os.sched_getaffinity(0))})
+import numpy as np
+from risopt import cnn
+cnn.model_forward(cnn.make_model(0, (2, 2), (3,), dropout_after=()), np.ones((4, 4, 2)))
+print(json.dumps({"cores": len(os.sched_getaffinity(0)), "blas": cnn.BLAS_THREADS,
+                  "conv": cnn.CONV_THREADS,
+                  "worker": any(t.name.startswith("risopt-conv") for t in threading.enumerate())}))
+"""
+
+
+def _decide_in_child(mode: str) -> dict:
+    """CONV_THREADS as a fresh interpreter decides it: ``pinned`` runs BLAS on
+    one thread, ``unpinned`` leaves BLAS at its default, ``one-core`` pins
+    BLAS and limits the child to one core before numpy loads."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    if mode != "unpinned":
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DECIDE, mode], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or cnn.BLAS_THREADS is None,
+    reason="needs sched_setaffinity and a readable OpenBLAS thread count")
+
+
+@needs_affinity
+def test_pinned_blas_with_an_idle_core_uses_the_worker():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one allowed core: no core is idle")
+    child = _decide_in_child("pinned")
+    assert child["blas"] == 1
+    assert child["conv"] == 2 and child["worker"]
+
+
+@needs_affinity
+def test_unpinned_blas_runs_inline():
+    child = _decide_in_child("unpinned")
+    if child["blas"] < child["cores"]:
+        pytest.skip("OpenBLAS caps its default threads below the core count")
+    assert child["conv"] == 1 and not child["worker"]
+
+
+@needs_affinity
+def test_one_core_child_runs_inline():
+    child = _decide_in_child("one-core")
+    assert child["cores"] == 1 and child["blas"] == 1
+    assert child["conv"] == 1 and not child["worker"]
+
+
 # ---------------------------------------------------------------- training
 
 def _toy_data(rng, n=6, hw=6):
@@ -435,6 +639,21 @@ def test_overfit_eight_samples():
     trained, history = train(model, (x, y), (x, y), cfg)
     final = np.mean([mse_loss(model_forward(trained, x[i]), y[i]) for i in range(8)])
     assert final < 1e-2
+
+
+def test_train_progress_gets_each_history_row_as_its_epoch_ends():
+    rng = np.random.default_rng(33)
+    x, y = _toy_data(rng)
+    model = make_model(34, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    rows = []
+
+    def progress(*row):
+        rows.append(row)
+        assert len(rows) == row[0]  # called once per epoch, in order
+
+    _, history = train(model, (x, y), (x, y),
+                       TrainConfig(batch_size=2, max_epochs=3, patience=10), progress)
+    assert rows == history
 
 
 def test_train_rejects_empty_sets():
