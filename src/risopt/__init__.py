@@ -19,7 +19,6 @@ from risopt.physics import (
     objective,
     radiation_pattern,
     received_power_db,
-    scattered_field,
     simulate_received_signal,
 )
 

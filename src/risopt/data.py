@@ -334,12 +334,13 @@ def load_sample_rows(data_dir) -> list:
 
 
 def load_arrays(data_dir):
-    """Stacked float64 (N, H, W, 2) inputs and (N, H, W) targets."""
+    """The stored float32 records, stacked: (N, H, W, 2) inputs and
+    (N, H, W) targets.  The model casts them to its own dtype."""
     from risopt.tensorfile import load_tensors
 
     data_dir = Path(data_dir)
-    inputs = np.stack([t.astype(float) for t in load_tensors(data_dir / "inputs.rist")])
-    targets = np.stack([t.astype(float) for t in load_tensors(data_dir / "targets.rist")])
+    inputs = np.stack(load_tensors(data_dir / "inputs.rist"))
+    targets = np.stack(load_tensors(data_dir / "targets.rist"))
     total = load_manifest(data_dir).counts["total"]
     if not len(inputs) == len(targets) == total:
         raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "

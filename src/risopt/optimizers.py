@@ -1,20 +1,23 @@
 """Greedy configuration search over 0/180-degree surfaces.
 
-Two greedy strategies share one bookkeeping convention: every
-(configure + evaluate) attempt is one step, and the running maximum of
-the objective after each step is recorded in the trace.
+The paper's iterative search is one algorithm over groups of elements:
+visit each group in turn, try every reflection state on the whole group
+with the other groups held at their committed states, and keep the best.
+``_greedy`` is that loop.  Every (configure + evaluate) attempt is one
+step, and the running maximum of the objective after each step is
+recorded in the trace.  Commits require strict improvement; ties keep
+the incumbent state, which makes runs deterministic for a given channel
+realization.
 
-``im_optimize`` sweeps each element once in raster order and tries both
-reflection states per element (M*N*2 steps).  ``gim_optimize`` sweeps
-whole rows or whole columns instead (N*2 or M*2 steps) so a horizontal
-and a vertical run together cost only (M+N)*2 steps; each returns a plain
-int64 state vector (one state per row, or per column), and
-``combine_stripes(h_states, v_states)`` merges the pair, rows first, into
-a full per-element configuration.  ``exhaustive_optimize`` enumerates every
-configuration and serves as a ground-truth oracle on tiny instances.
-
-All greedy commits require strict improvement; ties keep the incumbent
-state, which makes runs deterministic for a given channel realization.
+The two searches differ only in their groups.  ``im_optimize`` makes
+each element a group, in raster order (M*N*2 steps).  ``gim_optimize``
+makes each row or each column a group (N*2 or M*2 steps), so a
+horizontal and a vertical run together cost only (M+N)*2 steps; it
+returns a plain int64 state vector (one state per row, or per column),
+and ``combine_stripes(h_states, v_states)`` merges the pair, rows first,
+into a full per-element configuration.  ``exhaustive_optimize``
+enumerates every configuration and serves as a ground-truth oracle on
+tiny instances.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from risopt.physics import (
-    PHASE_TABLE,
+    PHASORS,
     ChannelMatrices,
     PhaseConfig,
     cascade_gain,
@@ -32,9 +35,6 @@ from risopt.physics import (
 )
 
 EXHAUSTIVE_LIMIT = 2**24  # max number of enumerated configurations
-
-# reflection phasors of state 0 and state 1, from the phases in degrees
-_PHASORS = np.exp(1j * np.deg2rad(np.asarray(PHASE_TABLE)))
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,43 @@ class OptimizeTrace:
             raise ValueError("best-objective history must be non-decreasing")
 
 
+def _greedy(terms, states, current) -> tuple:
+    """One greedy pass over groups of elements that share a state.
+
+    ``terms[k]`` is group k's summed ``h*g``, ``states[k]`` its starting
+    state and ``current`` the cascade sum of the starting states.  Each
+    group tries every state but its committed one, which would reproduce
+    the best objective; the running sum is updated in O(1) by
+    ``terms[k] * (phasor[new] - phasor[old])``, on plain Python scalars,
+    and a state is committed only if it strictly improves on the best
+    objective seen so far.  Returns the list of committed states and the
+    trace, which has one step per (group, state) pair.
+    """
+    phasor = PHASORS.tolist()
+    delta = [[new - old for old in phasor] for new in phasor]  # [new][old]
+    states = list(states)
+    best = abs(current)
+    history = []
+    for k, term in enumerate(terms):
+        committed = states[k]
+        for state, delta_state in enumerate(delta):
+            if state != committed:
+                cand_sum = current + term * delta_state[committed]
+                cand = abs(cand_sum)
+                if cand > best:
+                    best, current, committed = cand, cand_sum, state
+            history.append(best)
+        states[k] = committed
+    return states, OptimizeTrace(len(history), np.array(history), best)
+
+
 def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
     """Element-wise greedy search: one raster pass, 2 trials per element.
 
-    Elements are visited row 0..N-1, column 0..M-1 within each row.  Each
-    of the 2 states is evaluated with every other element held at its
-    committed state; a state is committed only if it strictly improves on
-    the best objective seen so far.  The trace therefore has exactly
+    Elements are visited row 0..N-1, column 0..M-1 within each row, each
+    one a group of :func:`_greedy`.  The trace therefore has exactly
     M*N*2 steps and the final objective never falls below the objective
     of ``init`` (all-zero states when omitted).
-
-    Each trial updates the running cascade sum in O(1) by
-    ``h*g * (phasor[new] - phasor[old])``, on plain Python scalars, with
-    ``h*g`` and the phasor differences computed once up front.
     """
     n_rows, m_cols = ch.shape
     if init is None:
@@ -82,25 +106,8 @@ def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
     # real arithmetic: numpy's array complex multiply may round differently
     hg = list(map(complex, (h.real * g.real - h.imag * g.imag).tolist(),
                   (h.real * g.imag + h.imag * g.real).tolist()))
-    phasor = _PHASORS.tolist()
-    delta = [[new - old for old in phasor] for new in phasor]  # [new][old]
-    states = init.states.ravel().tolist()
-    current = cascade_gain(ch, init)
-    best = abs(current)
-    history = []
-    for k, hg_k in enumerate(hg):
-        committed = states[k]
-        for state, delta_state in enumerate(delta):
-            if state != committed:  # the committed state reproduces ``best``
-                cand_sum = current + hg_k * delta_state[committed]
-                cand = abs(cand_sum)
-                if cand > best:
-                    best, current, committed = cand, cand_sum, state
-            history.append(best)
-        states[k] = committed
-    cfg = PhaseConfig(np.reshape(states, ch.shape))
-    trace = OptimizeTrace(len(history), np.array(history), best)
-    return cfg, trace
+    states, trace = _greedy(hg, init.states.ravel().tolist(), cascade_gain(ch, init))
+    return PhaseConfig(np.reshape(states, ch.shape)), trace
 
 
 def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
@@ -109,39 +116,17 @@ def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
     Returns ``(states, trace)``: ``states`` is an int64 vector of N row
     states (horizontal) or M column states (vertical).
 
-    All elements start at state 0 and the best objective starts at -inf,
-    so the very first evaluation always registers.  For each stripe, each
-    state is applied to the whole stripe with every other stripe held at
-    its committed state; the stripe state is committed only on strict
-    improvement.  Steps: N*2 (horizontal) or M*2 (vertical).  Each trial
-    updates the running cascade sum in O(1) from the stripe's summed ``h*g``;
-    like ``im_optimize``, the loop runs on plain Python scalars.
+    All elements start at state 0, and each row (or column) is one group
+    of :func:`_greedy`, its term the stripe's summed ``h*g``.  Steps: N*2
+    (horizontal) or M*2 (vertical).
     """
     if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
     hg = ch.h * ch.g
-    # total cascade contribution of each stripe (all its elements share a state)
     stripe_hg = (hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)).tolist()
-    current = complex(hg.sum() * _PHASORS[0])  # all elements at state 0
-    phasor = _PHASORS.tolist()
-
-    states = []
-    best = -np.inf
-    history = []
-    for stripe_hg_i in stripe_hg:
-        committed = 0
-        for j, phasor_j in enumerate(phasor):
-            if j == committed:
-                cand_sum = current
-            else:
-                cand_sum = current + stripe_hg_i * (phasor_j - phasor[committed])
-            cand = abs(cand_sum)
-            if cand > best:
-                best, current, committed = cand, cand_sum, j
-            history.append(best)
-        states.append(committed)
-    trace = OptimizeTrace(len(history), np.array(history), best)
+    current = complex(hg.sum() * PHASORS[0])  # all elements at state 0
+    states, trace = _greedy(stripe_hg, [0] * len(stripe_hg), current)
     return np.array(states, dtype=np.int64), trace
 
 
@@ -180,7 +165,7 @@ def exhaustive_optimize(ch: ChannelMatrices) -> tuple:
         raise ValueError(f"2^{n_elem} configurations exceed the {EXHAUSTIVE_LIMIT} limit")
 
     hg = (ch.h * ch.g).reshape(-1)  # row-major raster order
-    per_state = hg[:, np.newaxis] * _PHASORS[np.newaxis, :]  # (n_elem, 2)
+    per_state = hg[:, np.newaxis] * PHASORS[np.newaxis, :]  # (n_elem, 2)
     bits = np.arange(n_elem)
     chunk = 1 << 14
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.evaluate import CSV_COLUMNS
-from risopt.physics import PHASE_TABLE, PhaseConfig
+from risopt.physics import PHASE_TABLE, PhaseConfig, _check_dims, _steering
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -28,6 +28,21 @@ def flip_delta(ch, cfg, row, col, new_state, current_sum):
     old_phase = np.deg2rad(PHASE_TABLE[old_state])
     new_phase = np.deg2rad(PHASE_TABLE[new_state])
     return current_sum + hg * (np.exp(1j * new_phase) - np.exp(1j * old_phase))
+
+
+def scattered_field(geom, illum, cfg, elevation_deg, azimuth_deg):
+    """Scattered far field in direction (elevation, azimuth).
+
+    Superposition over all elements of illumination, unit-amplitude
+    reflection with the element's configured phase, and the array
+    steering factor, weighted by the cos(elevation) element pattern of
+    the reflected wave.  ``physics.radiation_pattern`` is checked against
+    this direct sum.
+    """
+    _check_dims(geom, illum.amp, cfg.states)
+    steer = _steering(geom, elevation_deg, azimuth_deg)
+    terms = illum.amp * np.exp(1j * (illum.phase + cfg.phases_rad())) * illum.cos_inc * steer
+    return complex(np.cos(np.deg2rad(elevation_deg)) * terms.sum())
 
 
 def with_state(cfg, row, col, state):

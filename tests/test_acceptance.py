@@ -26,7 +26,6 @@ from risopt import (
     compute_illumination,
     objective,
     received_power_db,
-    scattered_field,
     simulate_received_signal,
 )
 from risopt.cli import main
@@ -50,7 +49,7 @@ from risopt.optimizers import (
 )
 from risopt.physics import PHASE_TABLE, SPEED_OF_LIGHT
 
-from oracles import flip_delta, with_state
+from oracles import flip_delta, scattered_field, with_state
 
 
 def report(capsys, line):

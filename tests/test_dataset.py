@@ -243,6 +243,10 @@ def test_generate_writes_all_files(tmp_path):
     inputs, targets = load_arrays(tmp_path)
     assert inputs.shape == (9, 4, 4, 2)
     assert targets.shape == (9, 4, 4)
+    assert inputs.dtype == targets.dtype == np.float32  # the stored records, not upcast
+    for arrays, name in ((inputs, "inputs.rist"), (targets, "targets.rist")):
+        for got, record in zip(arrays, load_tensors(tmp_path / name), strict=True):
+            assert got.tobytes() == record.tobytes()
     assert set(np.unique(inputs)) <= {-1.0, 1.0}
     assert set(np.unique(targets)) <= {-1.0, 1.0}
 

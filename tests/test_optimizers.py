@@ -552,3 +552,25 @@ def test_gim_property_matches_reference_searches(instance, orientation):
     assert_matches_recompute(
         got, reference_gim(ch, orientation, use_incremental=False),
         ties_possible=n_stripes == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_instances(), st.sampled_from(("horizontal", "vertical")))
+def test_gim_is_im_over_stripe_groups(instance, orientation):
+    """A stripe search is the element-wise search on a surface whose
+    elements are the stripes: h holds each stripe's summed h*g and g is 1.
+    The two start sums add the same terms in a different order, so the
+    histories agree to rounding, and a single stripe may tie."""
+    ch, _ = instance
+    hg = ch.h * ch.g
+    if orientation == "horizontal":
+        h = hg.sum(axis=1)[:, np.newaxis]  # (N, 1)
+    else:
+        h = hg.sum(axis=0)[np.newaxis, :]  # (1, M)
+    states, trace = gim_optimize(ch, orientation)
+    cfg, want = im_optimize(ChannelMatrices(h, np.ones_like(h)))
+    if h.size > 1:
+        np.testing.assert_array_equal(states, cfg.states.ravel())
+    assert trace.steps == want.steps
+    np.testing.assert_allclose(trace.best_objective_history,
+                               want.best_objective_history, rtol=1e-12)

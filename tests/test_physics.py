@@ -23,13 +23,12 @@ from risopt import (
     objective,
     radiation_pattern,
     received_power_db,
-    scattered_field,
     simulate_received_signal,
 )
 from risopt import physics
 from risopt.physics import SPEED_OF_LIGHT, direction_cosines
 
-from oracles import flip_delta, with_state
+from oracles import flip_delta, scattered_field, with_state
 
 
 # ---------------------------------------------------------------- oracles
