@@ -4,7 +4,9 @@ For every receiver direction on an inclusive angular grid the generator
 runs the stripe search in both orientations (the cheap measurement) and
 the element-wise search (the expensive reference), then stores the
 stripe pair as a 2-channel +1/-1 input image and the reference config as
-the target map.  A dataset directory holds:
+the target map.  The searches run over chunks of angles at once
+(``optimizers.batch_optimize``), with the same results as one angle at
+a time.  A dataset directory holds:
 
     inputs.rist   one (H, W, 2) float32 record per sample
     targets.rist  one (H, W) float32 record per sample
@@ -22,14 +24,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from risopt.cnn import states_to_pm1, stripe_image
-from risopt.optimizers import combine_stripes, gim_optimize, im_optimize
+from risopt.optimizers import batch_optimize, combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
     PHASE_TABLE,
+    ChannelMatrices,
     PhaseConfig,
     RisGeometry,
     RxSpec,
@@ -45,6 +49,11 @@ MANIFEST_VERSION = 1
 
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 SPLIT_NAMES = ("train", "val", "test")
+
+# Angles per batched search.  A chunk of fewer than MIN_BATCH angles (the
+# measured crossover) runs the scalar per-angle searches instead.
+BATCH_ANGLES = 128
+MIN_BATCH = 6
 
 MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays and CSV near 2 GB
 
@@ -222,13 +231,7 @@ def encode_sample(sample: Sample):
     return x, states_to_pm1(sample.ref_cfg.states)
 
 
-def generate_sample(geom, illum, rx: RxSpec, *, flat_tx_phase: bool = False) -> Sample:
-    """Run both stripe searches and the element-wise reference at one angle."""
-    ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
-    h_states, _ = gim_optimize(ch, orientation="horizontal")
-    v_states, _ = gim_optimize(ch, orientation="vertical")
-    ref_cfg, _ = im_optimize(ch)
-    combined = combine_stripes(h_states, v_states)
+def _sample(ch, rx: RxSpec, h_states, v_states, ref_cfg: PhaseConfig) -> Sample:
     return Sample(
         h_states=h_states,
         v_states=v_states,
@@ -236,8 +239,31 @@ def generate_sample(geom, illum, rx: RxSpec, *, flat_tx_phase: bool = False) -> 
         elevation_deg=rx.elevation_deg,
         azimuth_deg=rx.azimuth_deg,
         objective_im=objective(ch, ref_cfg),
-        objective_gim=objective(ch, combined),
+        objective_gim=objective(ch, combine_stripes(h_states, v_states)),
     )
+
+
+def generate_sample(geom, illum, rx: RxSpec, *, flat_tx_phase: bool = False) -> Sample:
+    """Run both stripe searches and the element-wise reference at one angle."""
+    ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
+    h_states, _ = gim_optimize(ch, orientation="horizontal")
+    v_states, _ = gim_optimize(ch, orientation="vertical")
+    ref_cfg, _ = im_optimize(ch)
+    return _sample(ch, rx, h_states, v_states, ref_cfg)
+
+
+def _generate_chunk(geom, illum, rxs, flat_tx_phase: bool) -> list:
+    """:func:`generate_sample` at every receiver of ``rxs``, with the
+    searches batched over the angles when there are enough of them."""
+    if len(rxs) < MIN_BATCH:
+        return [generate_sample(geom, illum, rx, flat_tx_phase=flat_tx_phase) for rx in rxs]
+    chs = []
+    for rx in rxs:
+        ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
+        # the Tx side does not depend on the receiver: the chunk keeps one h
+        chs.append(ChannelMatrices(chs[0].h, ch.g) if chs else ch)
+    return [_sample(ch, rx, h_states, v_states, PhaseConfig(ref))
+            for ch, rx, h_states, v_states, ref in zip(chs, rxs, *batch_optimize(chs))]
 
 
 def generate_dataset(
@@ -261,21 +287,23 @@ def generate_dataset(
     splits = split_dataset(total, split_ratios, split_seed)
 
     illum = compute_illumination(geom, tx)
-    inputs, targets, rows = [], [], []
-    for i, (az, el) in enumerate(grid.points()):
-        sample = generate_sample(geom, illum, RxSpec(rx_distance, el, az),
-                                 flat_tx_phase=flat_tx_phase)
-        x, y = encode_sample(sample)
-        inputs.append(x)
-        targets.append(y)
-        rows.append({
-            "azimuth_deg": sample.azimuth_deg,
-            "elevation_deg": sample.elevation_deg,
-            "objective_im": sample.objective_im,
-            "objective_gim": sample.objective_gim,
-        })
-        if progress is not None:
-            progress(i + 1, total)
+    # float32, as save_tensors writes them
+    inputs = np.empty((total, geom.n_rows, geom.m_cols, 2), dtype=np.float32)
+    targets = np.empty((total, geom.n_rows, geom.m_cols), dtype=np.float32)
+    rows = []
+    points = grid.points()
+    while chunk := [RxSpec(rx_distance, el, az) for az, el in islice(points, BATCH_ANGLES)]:
+        for sample in _generate_chunk(geom, illum, chunk, flat_tx_phase):
+            i = len(rows)
+            inputs[i], targets[i] = encode_sample(sample)
+            rows.append({
+                "azimuth_deg": sample.azimuth_deg,
+                "elevation_deg": sample.elevation_deg,
+                "objective_im": sample.objective_im,
+                "objective_gim": sample.objective_gim,
+            })
+            if progress is not None:
+                progress(i + 1, total)
 
     manifest = DatasetManifest(
         geometry=geom,
@@ -339,10 +367,10 @@ def load_arrays(data_dir):
     from risopt.tensorfile import load_tensors
 
     data_dir = Path(data_dir)
-    inputs = np.stack(load_tensors(data_dir / "inputs.rist"))
-    targets = np.stack(load_tensors(data_dir / "targets.rist"))
+    inputs = load_tensors(data_dir / "inputs.rist")
+    targets = load_tensors(data_dir / "targets.rist")
     total = load_manifest(data_dir).counts["total"]
     if not len(inputs) == len(targets) == total:
         raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "
                          f"records, but its manifest counts {total} samples")
-    return inputs, targets
+    return np.stack(inputs), np.stack(targets)

@@ -18,6 +18,14 @@ and ``combine_stripes(h_states, v_states)`` merges the pair, rows first,
 into a full per-element configuration.  ``exhaustive_optimize``
 enumerates every configuration and serves as a ground-truth oracle on
 tiny instances.
+
+``_greedy`` runs on plain Python scalars, fastest for one channel.  For
+a dataset sweep, ``batch_optimize`` runs IM and both stripe searches
+over many receiver angles at once in ``_greedy_batch``: the same loop,
+each scalar step one numpy call over the angle axis.  Its terms are
+built as the scalar searches build them and its magnitudes come from
+``np.hypot`` (libm ``hypot``, as Python's ``abs(complex)``), so its
+states are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -102,10 +110,7 @@ def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
     if init.shape != ch.shape:
         raise ValueError(f"init shape {init.shape} does not match channels {ch.shape}")
 
-    h, g = ch.h.ravel(), ch.g.ravel()
-    # real arithmetic: numpy's array complex multiply may round differently
-    hg = list(map(complex, (h.real * g.real - h.imag * g.imag).tolist(),
-                  (h.real * g.imag + h.imag * g.real).tolist()))
+    hg = _product(ch.h.ravel(), ch.g.ravel()).tolist()
     states, trace = _greedy(hg, init.states.ravel().tolist(), cascade_gain(ch, init))
     return PhaseConfig(np.reshape(states, ch.shape)), trace
 
@@ -123,12 +128,73 @@ def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
     if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
-    hg = ch.h * ch.g
-    stripe_hg = (hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)).tolist()
-    current = complex(hg.sum() * PHASORS[0])  # all elements at state 0
-    states, trace = _greedy(stripe_hg, [0] * len(stripe_hg), current)
+    stripe_hg, current = _stripe_terms(ch, orientation)
+    states, trace = _greedy(stripe_hg.tolist(), [0] * len(stripe_hg), current)
     return np.array(states, dtype=np.int64), trace
 
+
+def _stripe_terms(ch: ChannelMatrices, orientation: str) -> tuple:
+    """Each stripe's summed ``h*g`` and the cascade sum with every element at state 0."""
+    hg = ch.h * ch.g
+    stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
+    return stripe_hg, complex(hg.sum() * PHASORS[0])
+
+
+def _product(a, b) -> np.ndarray:
+    """Elementwise ``a * b`` of complex arrays, rounded as Python's complex
+    multiply rounds it: numpy's own complex multiply may round differently."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
+def _greedy_batch(flips, current) -> np.ndarray:
+    """:func:`_greedy` from all-zero states, for A problems at once.
+
+    ``flips[k, a]`` is the change of problem a's cascade sum when group k
+    goes from state 0 to state 1, ``terms[k] * (phasor[1] - phasor[0])``,
+    and ``current[a]`` is its cascade sum with every group at state 0.
+    Each group is tried once, as in :func:`_greedy`, with one numpy call
+    per scalar step over the angle axis.  Returns the (K, A) bool states.
+    """
+    current = current.copy()
+    best = np.hypot(current.real, current.imag)
+    cand = np.empty_like(current)
+    cand_re, cand_im = cand.real, cand.imag
+    value = np.empty_like(best)
+    states = np.empty(flips.shape, dtype=bool)
+    for flip, flipped in zip(flips, states):
+        np.add(current, flip, out=cand)
+        np.hypot(cand_re, cand_im, out=value)
+        np.greater(value, best, out=flipped)
+        np.copyto(current, cand, where=flipped)
+        np.maximum(best, value, out=best)
+    return states
+
+
+def batch_optimize(channels) -> tuple:
+    """IM and both stripe searches for A channels of one surface at once.
+
+    Returns int64 row states (A, N), column states (A, M) and element
+    states (A, N, M), bit-identical to ``gim_optimize(ch, "horizontal")``,
+    ``gim_optimize(ch, "vertical")`` and ``im_optimize(ch)`` on every
+    channel.  For one channel it takes about 5x as long as the scalar
+    searches; at 40x40 it is faster from about 6 channels on.
+    """
+    n_rows, m_cols = channels[0].shape
+    delta = PHASORS[1] - PHASORS[0]  # state 0 -> 1
+    zeros = PhaseConfig.zeros(n_rows, m_cols)
+    flips = [np.empty((k, len(channels)), dtype=complex) for k in (n_rows * m_cols, n_rows, m_cols)]
+    starts = np.empty((3, len(channels)), dtype=complex)  # IM, horizontal, vertical
+    for a, ch in enumerate(channels):
+        starts[0, a] = cascade_gain(ch, zeros)
+        flips[0][:, a] = _product(_product(ch.h.ravel(), ch.g.ravel()), delta)
+        for i, orientation in ((1, "horizontal"), (2, "vertical")):
+            stripe_hg, starts[i, a] = _stripe_terms(ch, orientation)
+            flips[i][:, a] = _product(stripe_hg, delta)
+    im, rows, cols = (_greedy_batch(f, s).T.astype(np.int64) for f, s in zip(flips, starts))
+    return rows, cols, im.reshape(len(channels), n_rows, m_cols)
 
 def combine_stripes(h_states, v_states) -> PhaseConfig:
     """Merge the row states of a horizontal stripe search and the column

@@ -1,12 +1,14 @@
 """Grid arithmetic, split bookkeeping, encoding, and on-disk determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from risopt import data
+from risopt.cli import main
 from risopt.cnn import pm1_to_states, stripe_states
 from risopt.data import (
     MAX_GRID_POINTS,
@@ -429,3 +431,39 @@ def test_generate_rejects_bad_split_before_the_sweep(tmp_path):
     with pytest.raises(ValueError, match="ratios must sum to 1"):
         generate_dataset(geom, tx, 10.0, AngularGrid(), out, split_ratios=(0.5, 0.2, 0.2))
     assert not out.exists()
+
+
+def test_load_arrays_names_an_empty_record_file(tmp_path, capsys):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    (tmp_path / "inputs.rist").write_bytes(b"")
+    message = f"{tmp_path} holds 0 input and 6 target records, but its manifest counts 6 samples"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_arrays(tmp_path)
+    assert main(["train", "--data", str(tmp_path), "--weights-out",
+                 str(tmp_path / "net.rist")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", [data.MIN_BATCH - 1, data.MIN_BATCH, data.BATCH_ANGLES + 1])
+def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count):
+    """Grids one angle below the batch crossover, exactly at it, and one
+    chunk plus one angle write what generate_sample writes angle by angle."""
+    geom, tx = small_setup(7, 5)
+    grid = AngularGrid(30.0, 30.0, -32.0, -32.0 + 0.5 * (count - 1), 0.5)
+    ticks = []
+    generate_dataset(geom, tx, 10.0, grid, tmp_path,
+                     progress=lambda done, total: ticks.append((done, total)))
+    assert ticks == [(i, count) for i in range(1, count + 1)]
+
+    illum = compute_illumination(geom, tx)
+    samples = [generate_sample(geom, illum, RxSpec(10.0, el, az)) for az, el in grid.points()]
+    inputs, targets = zip(*map(encode_sample, samples))
+    save_tensors(tmp_path / "ref_inputs.rist", inputs)
+    save_tensors(tmp_path / "ref_targets.rist", targets)
+    for name in ("inputs", "targets"):
+        ref = (tmp_path / f"ref_{name}.rist").read_bytes()
+        assert (tmp_path / f"{name}.rist").read_bytes() == ref, name
+    rows = load_sample_rows(tmp_path)
+    assert [(r["objective_im"], r["objective_gim"]) for r in rows] == [
+        (s.objective_im, s.objective_gim) for s in samples]

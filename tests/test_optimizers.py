@@ -19,6 +19,7 @@ from risopt import (
 )
 from risopt.optimizers import (
     OptimizeTrace,
+    batch_optimize,
     combine_stripes,
     exhaustive_optimize,
     gim_optimize,
@@ -574,3 +575,49 @@ def test_gim_is_im_over_stripe_groups(instance, orientation):
     assert trace.steps == want.steps
     np.testing.assert_allclose(trace.best_objective_history,
                                want.best_objective_history, rtol=1e-12)
+
+
+def assert_batch_matches_per_angle_searches(chs):
+    rows, cols, im = batch_optimize(chs)
+    n_rows, m_cols = chs[0].shape
+    assert rows.shape == (len(chs), n_rows) and cols.shape == (len(chs), m_cols)
+    assert im.shape == (len(chs), n_rows, m_cols)
+    assert rows.dtype == cols.dtype == im.dtype == np.int64
+    for a, ch in enumerate(chs):
+        np.testing.assert_array_equal(rows[a], gim_optimize(ch, "horizontal")[0])
+        np.testing.assert_array_equal(cols[a], gim_optimize(ch, "vertical")[0])
+        np.testing.assert_array_equal(im[a], im_optimize(ch)[0].states)
+
+
+def test_batch_bit_identical_to_per_angle_searches_on_desk_channels():
+    geom = RisGeometry.half_wavelength(40, 40, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0))
+    angles = [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0), (12.5, 7.5)]
+    assert_batch_matches_per_angle_searches(
+        [compute_channels(geom, illum, RxSpec(10.0, el, az)) for el, az in angles])
+
+
+def test_batch_rejects_channels_of_another_surface():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="does not match"):
+        batch_optimize([random_channels(rng, 3, 4), random_channels(rng, 4, 3)])
+
+
+@st.composite
+def channel_batches(draw):
+    """1-9 Gaussian channels of one surface, from 1x1 to 6x6 or the odd
+    7x10; the Tx side h is shared, as in a dataset sweep, or not."""
+    n_rows, m_cols = draw(st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                                    st.just((7, 10))))
+    n_angles = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chs = [random_channels(rng, n_rows, m_cols) for _ in range(n_angles)]
+    if draw(st.booleans()):
+        chs = [ChannelMatrices(chs[0].h, ch.g) for ch in chs]
+    return chs
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel_batches())
+def test_batch_property_matches_per_angle_searches(chs):
+    assert_batch_matches_per_angle_searches(chs)
