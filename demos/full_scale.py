@@ -4,7 +4,7 @@
 Sweeps the complete 181x121 receiver grid on the default 40x40 surface
 (21,901 samples), trains the network, and writes the evaluation report
 plus a per-angle gap CSV suitable for heatmap plotting. Dataset
-generation of the 21,901 angles took 17 s and peaked at 988 MiB RSS on
+generation of the 21,901 angles took 15 s and peaked at 471 MiB RSS on
 a 2-core Xeon VM (numpy 2.4); training takes several hours on one core. All stages are seeded. The run is not
 resumable: it reuses only a complete dataset directory (manifest.json
 is written last), and an interrupted stage starts over.

@@ -42,6 +42,8 @@ from risopt.physics import (
     compute_channels,
     compute_illumination,
     objective,
+    rx_channel,
+    tx_channel,
 )
 from risopt.tensorfile import save_tensors
 
@@ -50,10 +52,11 @@ MANIFEST_VERSION = 1
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 SPLIT_NAMES = ("train", "val", "test")
 
-# Angles per batched search.  A chunk of fewer than MIN_BATCH angles (the
-# measured crossover) runs the scalar per-angle searches instead.
+# Angles per batched search.  A chunk of fewer than MIN_BATCH angles runs
+# the scalar per-angle searches instead: at 40x40 those win up to about
+# 13 angles and the batch from about 14.
 BATCH_ANGLES = 128
-MIN_BATCH = 6
+MIN_BATCH = 14
 
 MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays and CSV near 2 GB
 
@@ -257,11 +260,8 @@ def _generate_chunk(geom, illum, rxs, flat_tx_phase: bool) -> list:
     searches batched over the angles when there are enough of them."""
     if len(rxs) < MIN_BATCH:
         return [generate_sample(geom, illum, rx, flat_tx_phase=flat_tx_phase) for rx in rxs]
-    chs = []
-    for rx in rxs:
-        ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
-        # the Tx side does not depend on the receiver: the chunk keeps one h
-        chs.append(ChannelMatrices(chs[0].h, ch.g) if chs else ch)
+    h = tx_channel(geom, illum, flat_tx_phase=flat_tx_phase)  # the same at every receiver
+    chs = [ChannelMatrices(h, rx_channel(geom, rx)) for rx in rxs]
     return [_sample(ch, rx, h_states, v_states, PhaseConfig(ref))
             for ch, rx, h_states, v_states, ref in zip(chs, rxs, *batch_optimize(chs))]
 

@@ -1,13 +1,12 @@
 """Greedy configuration search over 0/180-degree surfaces.
 
 The paper's iterative search is one algorithm over groups of elements:
-visit each group in turn, try every reflection state on the whole group
-with the other groups held at their committed states, and keep the best.
-``_greedy`` is that loop.  Every (configure + evaluate) attempt is one
-step, and the running maximum of the objective after each step is
-recorded in the trace.  Commits require strict improvement; ties keep
-the incumbent state, which makes runs deterministic for a given channel
-realization.
+visit each group in turn, try its other reflection state with the other
+groups held at their committed states, and keep the better.  ``_greedy``
+is that loop.  Each group costs two (configure + evaluate) steps, one per
+state, and the running best objective after each step is recorded in the
+trace.  Commits require strict improvement; ties keep the incumbent
+state, which makes runs deterministic for a given channel realization.
 
 The two searches differ only in their groups.  ``im_optimize`` makes
 each element a group, in raster order (M*N*2 steps).  ``gim_optimize``
@@ -19,10 +18,11 @@ into a full per-element configuration.  ``exhaustive_optimize``
 enumerates every configuration and serves as a ground-truth oracle on
 tiny instances.
 
-``_greedy`` runs on plain Python scalars, fastest for one channel.  For
-a dataset sweep, ``batch_optimize`` runs IM and both stripe searches
+``_greedy`` adds one flip term per group (the change of the cascade sum
+from state 0 to 1) on plain Python scalars, fastest for one channel.
+For a dataset sweep, ``batch_optimize`` runs IM and both stripe searches
 over many receiver angles at once in ``_greedy_batch``: the same loop,
-each scalar step one numpy call over the angle axis.  Its terms are
+each scalar step one numpy call over the angle axis.  Its flips are
 built as the scalar searches build them and its magnitudes come from
 ``np.hypot`` (libm ``hypot``, as Python's ``abs(complex)``), so its
 states are bit-identical to theirs.
@@ -43,6 +43,7 @@ from risopt.physics import (
 )
 
 EXHAUSTIVE_LIMIT = 2**24  # max number of enumerated configurations
+_FLIP = PHASORS[1] - PHASORS[0]  # phasor change of a group going from state 0 to 1
 
 
 @dataclass(frozen=True)
@@ -66,43 +67,39 @@ class OptimizeTrace:
             raise ValueError("best-objective history must be non-decreasing")
 
 
-def _greedy(terms, states, current) -> tuple:
+def _greedy(flips, init, current) -> tuple:
     """One greedy pass over groups of elements that share a state.
 
-    ``terms[k]`` is group k's summed ``h*g``, ``states[k]`` its starting
-    state and ``current`` the cascade sum of the starting states.  Each
-    group tries every state but its committed one, which would reproduce
-    the best objective; the running sum is updated in O(1) by
-    ``terms[k] * (phasor[new] - phasor[old])``, on plain Python scalars,
-    and a state is committed only if it strictly improves on the best
-    objective seen so far.  Returns the list of committed states and the
-    trace, which has one step per (group, state) pair.
+    ``flips[k]`` changes the cascade sum ``current`` when group k goes
+    from state 0 to 1; ``init[k]`` (bool) is its starting state.  Each
+    group adds its flip, negated from state 1, and keeps the sum only if
+    its magnitude strictly beats the best so far.  numpy rebuilds the
+    rest from the best after each group: a group changed state iff the
+    best rose, and of its two steps (state 0, then 1) the trial is the
+    one off its starting state.  Returns the bool states and the trace.
     """
-    phasor = PHASORS.tolist()
-    delta = [[new - old for old in phasor] for new in phasor]  # [new][old]
-    states = list(states)
     best = abs(current)
-    history = []
-    for k, term in enumerate(terms):
-        committed = states[k]
-        for state, delta_state in enumerate(delta):
-            if state != committed:
-                cand_sum = current + term * delta_state[committed]
-                cand = abs(cand_sum)
-                if cand > best:
-                    best, current, committed = cand, cand_sum, state
-            history.append(best)
-        states[k] = committed
-    return states, OptimizeTrace(len(history), np.array(history), best)
+    bests = [best]
+    for flip in np.where(init, -flips, flips).tolist():
+        cand = current + flip
+        value = abs(cand)
+        if value > best:
+            best, current = value, cand
+        bests.append(best)
+    history = np.repeat(bests, 2)[1:-1]  # group k: (best before, best after)
+    before, after = history[0::2], history[1::2]
+    rose = after > before
+    np.copyto(before, after, where=init)
+    return init ^ rose, OptimizeTrace(len(history), history, best)
 
 
 def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
-    """Element-wise greedy search: one raster pass, 2 trials per element.
+    """Element-wise greedy search: one raster pass, 2 steps per element.
 
     Elements are visited row 0..N-1, column 0..M-1 within each row, each
-    one a group of :func:`_greedy`.  The trace therefore has exactly
-    M*N*2 steps and the final objective never falls below the objective
-    of ``init`` (all-zero states when omitted).
+    one a group of :func:`_greedy` that tries its other state once.  The
+    trace therefore has exactly M*N*2 steps and the final objective never
+    falls below the objective of ``init`` (all-zero states when omitted).
     """
     n_rows, m_cols = ch.shape
     if init is None:
@@ -110,9 +107,8 @@ def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
     if init.shape != ch.shape:
         raise ValueError(f"init shape {init.shape} does not match channels {ch.shape}")
 
-    hg = _product(ch.h.ravel(), ch.g.ravel()).tolist()
-    states, trace = _greedy(hg, init.states.ravel().tolist(), cascade_gain(ch, init))
-    return PhaseConfig(np.reshape(states, ch.shape)), trace
+    states, trace = _greedy(_element_flips(ch), init.states.ravel() == 1, cascade_gain(ch, init))
+    return PhaseConfig(states.reshape(ch.shape)), trace
 
 
 def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
@@ -122,28 +118,34 @@ def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
     states (horizontal) or M column states (vertical).
 
     All elements start at state 0, and each row (or column) is one group
-    of :func:`_greedy`, its term the stripe's summed ``h*g``.  Steps: N*2
-    (horizontal) or M*2 (vertical).
+    of :func:`_greedy`, its flip built from the stripe's summed ``h*g``.
+    Steps: N*2 (horizontal) or M*2 (vertical).
     """
     if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
-    stripe_hg, current = _stripe_terms(ch, orientation)
-    states, trace = _greedy(stripe_hg.tolist(), [0] * len(stripe_hg), current)
-    return np.array(states, dtype=np.int64), trace
+    flips, current = _stripe_flips(ch, orientation)
+    states, trace = _greedy(flips, np.zeros(len(flips), dtype=bool), current)
+    return states.astype(np.int64), trace
 
 
-def _stripe_terms(ch: ChannelMatrices, orientation: str) -> tuple:
-    """Each stripe's summed ``h*g`` and the cascade sum with every element at state 0."""
+def _element_flips(ch: ChannelMatrices) -> np.ndarray:
+    """Each element's flip term ``h*g*(phasor[1] - phasor[0])``, raster order."""
+    return _product(_product(ch.h.ravel(), ch.g.ravel()), _FLIP)
+
+
+def _stripe_flips(ch: ChannelMatrices, orientation: str) -> tuple:
+    """Each stripe's flip term, from its summed ``h*g``, and the cascade
+    sum with every element at state 0."""
     hg = ch.h * ch.g
     stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
-    return stripe_hg, complex(hg.sum() * PHASORS[0])
+    return _product(stripe_hg, _FLIP), complex(hg.sum() * PHASORS[0])
 
 
 def _product(a, b) -> np.ndarray:
-    """Elementwise ``a * b`` of complex arrays, rounded as Python's complex
-    multiply rounds it: numpy's own complex multiply may round differently."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    """``a * b`` for a complex array and a scalar or array of its shape,
+    rounded as Python's complex multiply rounds it (numpy's may not)."""
+    out = np.empty(np.shape(a), dtype=complex)
     np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
     np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
     return out
@@ -152,11 +154,10 @@ def _product(a, b) -> np.ndarray:
 def _greedy_batch(flips, current) -> np.ndarray:
     """:func:`_greedy` from all-zero states, for A problems at once.
 
-    ``flips[k, a]`` is the change of problem a's cascade sum when group k
-    goes from state 0 to state 1, ``terms[k] * (phasor[1] - phasor[0])``,
-    and ``current[a]`` is its cascade sum with every group at state 0.
-    Each group is tried once, as in :func:`_greedy`, with one numpy call
-    per scalar step over the angle axis.  Returns the (K, A) bool states.
+    ``flips[k, a]`` is problem a's flip term for group k, as in
+    :func:`_greedy`, and ``current[a]`` is its cascade sum with every
+    group at state 0.  Each scalar step of :func:`_greedy` is one numpy
+    call over the angle axis.  Returns the (K, A) bool states.
     """
     current = current.copy()
     best = np.hypot(current.real, current.imag)
@@ -179,20 +180,18 @@ def batch_optimize(channels) -> tuple:
     Returns int64 row states (A, N), column states (A, M) and element
     states (A, N, M), bit-identical to ``gim_optimize(ch, "horizontal")``,
     ``gim_optimize(ch, "vertical")`` and ``im_optimize(ch)`` on every
-    channel.  For one channel it takes about 5x as long as the scalar
-    searches; at 40x40 it is faster from about 6 channels on.
+    channel.  For one channel it takes about 10x as long as the scalar
+    searches; at 40x40 it is faster from about 14 channels on.
     """
     n_rows, m_cols = channels[0].shape
-    delta = PHASORS[1] - PHASORS[0]  # state 0 -> 1
     zeros = PhaseConfig.zeros(n_rows, m_cols)
     flips = [np.empty((k, len(channels)), dtype=complex) for k in (n_rows * m_cols, n_rows, m_cols)]
     starts = np.empty((3, len(channels)), dtype=complex)  # IM, horizontal, vertical
     for a, ch in enumerate(channels):
         starts[0, a] = cascade_gain(ch, zeros)
-        flips[0][:, a] = _product(_product(ch.h.ravel(), ch.g.ravel()), delta)
+        flips[0][:, a] = _element_flips(ch)
         for i, orientation in ((1, "horizontal"), (2, "vertical")):
-            stripe_hg, starts[i, a] = _stripe_terms(ch, orientation)
-            flips[i][:, a] = _product(stripe_hg, delta)
+            flips[i][:, a], starts[i, a] = _stripe_flips(ch, orientation)
     im, rows, cols = (_greedy_batch(f, s).T.astype(np.int64) for f, s in zip(flips, starts))
     return rows, cols, im.reshape(len(channels), n_rows, m_cols)
 

@@ -233,32 +233,36 @@ def _steering(geom: RisGeometry, elevation_deg: float, azimuth_deg: float) -> np
     return np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
 
 
-def compute_channels(
-    geom: RisGeometry,
-    illum: Illumination,
-    rx: RxSpec,
-    *,
-    flat_tx_phase: bool = False,
-) -> ChannelMatrices:
-    """Assemble per-element channel coefficients h (Tx side) and g (Rx side).
+def tx_channel(geom: RisGeometry, illum: Illumination, *, flat_tx_phase: bool = False) -> np.ndarray:
+    """Tx-side coefficients ``h[n, m] = amp * exp(j * phase) * cos_inc``.
 
-    ``h[n, m] = amp * exp(j * phase) * cos_inc`` carries the near-field
-    illumination; with ``flat_tx_phase`` the per-element Tx phase is
-    dropped (``h = amp * cos_inc``), leaving only path-loss amplitude and
-    incidence taper on the Tx side.
-
-    ``g[n, m] = L_rx * cos(t_rx) * exp(j k0 (m dx sin t cos p + n dy sin t sin p))``
-    with the shared far-field path loss ``L_rx = wavelength / (4 pi d_rx)``.
+    They carry the near-field illumination; with ``flat_tx_phase`` the
+    per-element Tx phase is dropped (``h = amp * cos_inc``), leaving only
+    path-loss amplitude and incidence taper.  ``h`` does not depend on
+    the receiver.
     """
     _check_dims(geom, illum.amp, illum.phase, illum.cos_inc)
     if flat_tx_phase:
-        h = (illum.amp * illum.cos_inc).astype(complex)
-    else:
-        h = illum.amp * np.exp(1j * illum.phase) * illum.cos_inc
+        return (illum.amp * illum.cos_inc).astype(complex)
+    return illum.amp * np.exp(1j * illum.phase) * illum.cos_inc
+
+
+def rx_channel(geom: RisGeometry, rx: RxSpec) -> np.ndarray:
+    """Rx-side coefficients
+    ``g[n, m] = L_rx * cos(t_rx) * exp(j k0 (m dx sin t cos p + n dy sin t sin p))``
+    with the shared far-field path loss ``L_rx = wavelength / (4 pi d_rx)``.
+    """
     l_rx = geom.wavelength / (4 * np.pi * rx.distance)
     steer = _steering(geom, rx.elevation_deg, rx.azimuth_deg)
-    g = l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer
-    return ChannelMatrices(h, g)
+    return l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer
+
+
+def compute_channels(geom: RisGeometry, illum: Illumination, rx: RxSpec, *,
+                     flat_tx_phase: bool = False) -> ChannelMatrices:
+    """Per-element channel coefficients: h from :func:`tx_channel` and g
+    from :func:`rx_channel`."""
+    return ChannelMatrices(tx_channel(geom, illum, flat_tx_phase=flat_tx_phase),
+                           rx_channel(geom, rx))
 
 
 _PATTERN_BLOCK = 512  # directions per GEMM block; keeps the ramps in cache

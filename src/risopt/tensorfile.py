@@ -36,20 +36,24 @@ def save_tensors(path, tensors) -> None:
     """Write a sequence of arrays as float32 records.
 
     Values are cast to float32; the write is deterministic, so equal
-    inputs always produce byte-identical files.
+    inputs always produce byte-identical files.  Every record is cast
+    and checked before the file is opened, so a rejected one leaves an
+    existing file as it was; then each record is written from its own
+    buffer, with no copy of the whole file in memory.
     """
-    path = Path(path)
-    blobs = []
+    records = []
     for arr in tensors:
-        arr = np.asarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4", order="C")
         if arr.ndim > 255:
             raise ValueError("tensor rank exceeds the u8 header field")
         if any(d >= 2**32 for d in arr.shape):
             raise ValueError("tensor dimension exceeds the u32 header field")
-        blobs.append(_HEADER.pack(MAGIC, FORMAT_VERSION, arr.ndim))
-        blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blobs.append(arr.tobytes())
-    path.write_bytes(b"".join(blobs))
+        records.append(arr)
+    with open(path, "wb") as f:
+        for arr in records:
+            f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.reshape(-1))  # C order, float32 little-endian
 
 
 def load_tensors(path) -> list:

@@ -19,6 +19,7 @@ from risopt import (
 )
 from risopt.optimizers import (
     OptimizeTrace,
+    _greedy,
     batch_optimize,
     combine_stripes,
     exhaustive_optimize,
@@ -48,7 +49,8 @@ def oracle_gain(ch, states):
 
 
 def oracle_im(ch, init_states):
-    """Greedy raster sweep, recomputing the objective from scratch every trial."""
+    """Greedy raster sweep, recomputing the objective from scratch every
+    trial; each element tries the state it did not start in, once."""
     states = init_states.copy()
     best = abs(oracle_gain(ch, states))
     n_rows, m_cols = ch.shape
@@ -56,6 +58,9 @@ def oracle_im(ch, init_states):
     for n in range(n_rows):
         for m in range(m_cols):
             for p in (0, 1):
+                if p == init_states[n, m]:
+                    history.append(best)
+                    continue
                 trial = states.copy()
                 trial[n, m] = p
                 val = abs(oracle_gain(ch, trial))
@@ -69,13 +74,15 @@ def oracle_im(ch, init_states):
 def reference_im(ch, init, *, use_incremental):
     """Element-wise search built from the public per-trial helpers.
 
-    Each trial either updates the running sum with ``flip_delta``
-    (``use_incremental``) or recomputes ``cascade_gain`` from scratch, and
-    every commit builds a new ``PhaseConfig``.  The incremental variant
-    does the arithmetic of ``im_optimize``'s scalar kernel, so the two must
-    agree bit for bit; the recompute variant agrees to rounding only, and
-    on exact ties (a 1x1 surface, where flipping the element keeps the
-    magnitude) it may commit a different state.
+    Each element tries the state it did not start in, once; the step of
+    its starting state keeps the best.  Each trial either updates the
+    running sum with ``flip_delta`` (``use_incremental``) or recomputes
+    ``cascade_gain`` from scratch, and every commit builds a new
+    ``PhaseConfig``.  The incremental variant does the arithmetic of
+    ``im_optimize``'s scalar kernel, so the two must agree bit for bit;
+    the recompute variant agrees to rounding only, and on exact ties (a
+    1x1 surface, where flipping the element keeps the magnitude) it may
+    commit a different state.
     """
     cfg = init
     current = cascade_gain(ch, cfg)
@@ -85,6 +92,9 @@ def reference_im(ch, init, *, use_incremental):
     for row in range(n_rows):
         for col in range(m_cols):
             for state in (0, 1):
+                if state == init.states[row, col]:
+                    history.append(best)
+                    continue
                 if use_incremental:
                     cand_sum = flip_delta(ch, cfg, row, col, state, current)
                 else:
@@ -247,6 +257,37 @@ def test_im_matches_greedy_oracle():
             assert trace.final_objective == pytest.approx(want_best, rel=1e-9)
             np.testing.assert_allclose(trace.best_objective_history, want_hist,
                                        rtol=1e-9)
+
+
+def assert_greedy(flips, init, current, want_states, want_history):
+    states, trace = _greedy(np.array(flips, dtype=complex), np.array(init), current)
+    assert states.dtype == bool
+    assert states.tolist() == want_states
+    assert trace.steps == 2 * len(flips)
+    assert trace.best_objective_history.tolist() == want_history
+    assert trace.final_objective == want_history[-1]
+
+
+def test_greedy_one_group():
+    assert_greedy([2 + 0j], [False], 1 + 0j, [True], [1.0, 3.0])
+    assert_greedy([-0.5 + 0j], [False], 1 + 0j, [False], [1.0, 1.0])
+    # from state 1 the trial subtracts the flip, and both steps show its result
+    assert_greedy([-2 + 0j], [True], 1 + 0j, [False], [3.0, 3.0])
+
+
+def test_greedy_every_group_starting_at_one():
+    # effective trials +1, -1, +0.5 on a sum of 1: the first and last commit
+    assert_greedy([-1, 1, -0.5], [True, True, True], 1 + 0j,
+                  [False, True, False], [2.0, 2.0, 2.0, 2.0, 2.5, 2.5])
+
+
+def test_greedy_mixed_starts():
+    # group 0 (at 0) commits; group 1 (at 1) ties and keeps its state;
+    # group 2 (at 1) commits, so its step 2k already holds the new best;
+    # group 3 (at 0) does not commit, so both its steps hold the old best
+    b0, b1, b2 = 1.0, abs(1 + 1j), abs(2 + 1j)
+    assert_greedy([1j, 2, -1, -0.1], [False, True, True, False], 1 + 0j,
+                  [True, True, False, False], [b0, b1, b1, b1, b2, b2, b2, b2])
 
 
 def test_im_single_element_tie_keeps_incumbent():
@@ -506,6 +547,18 @@ def test_im_bit_identical_to_reference_on_desk_channels():
         ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
         assert_bit_identical(im_optimize(ch),
                              reference_im(ch, zeros, use_incremental=True))
+
+
+def test_im_from_random_and_searched_inits_bit_identical_on_desk_channels():
+    geom = RisGeometry.half_wavelength(40, 40, 5e9)
+    illum = compute_illumination(geom, TxSpec(1.0))
+    rng = np.random.default_rng(52)
+    for el, az in [(-40.0, 30.0), (5.0, 120.0), (50.0, 170.0)]:
+        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
+        searched, _ = im_optimize(ch)
+        for init in (PhaseConfig(rng.integers(0, 2, (40, 40))), searched):
+            assert_bit_identical(im_optimize(ch, init),
+                                 reference_im(ch, init, use_incremental=True))
 
 
 def test_gim_bit_identical_to_reference_on_desk_channels():

@@ -66,6 +66,28 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_records_are_written_in_c_order_little_endian(tmp_path):
+    # views that are not C-contiguous, and big-endian input, still write
+    # the C-order little-endian float32 payload
+    arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+    path = tmp_path / "views.rist"
+    save_tensors(path, [arr.T, arr[:, ::2], arr.astype(">f8")])
+    want = b"".join(struct.pack("<4sHB", b"RIST", 1, 2) + struct.pack("<2I", *a.shape)
+                    + np.ascontiguousarray(a, dtype="<f4").tobytes()
+                    for a in (arr.T, arr[:, ::2], arr))
+    assert path.read_bytes() == want
+
+
+def test_rejected_record_leaves_an_existing_file_unchanged(tmp_path):
+    # every record is cast before the file is opened
+    path = tmp_path / "keep.rist"
+    save_tensors(path, [np.arange(6, dtype=np.float32).reshape(2, 3)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="could not convert"):
+        save_tensors(path, [np.zeros(4), np.array(["not a number"])])
+    assert path.read_bytes() == before
+
+
 def test_empty_file_yields_no_tensors(tmp_path):
     path = tmp_path / "empty.rist"
     save_tensors(path, [])
