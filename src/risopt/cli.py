@@ -303,7 +303,7 @@ def cmd_train(args) -> int:
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
     inputs, targets = load_arrays(args.data)
-    model = make_model(args.seed)
+    model = make_model(args.seed, dtype=np.float32)
 
     def progress(epoch, train_loss, val_loss):
         _stderr(f"epoch {epoch}/{cfg.max_epochs} train_loss={train_loss:.6g} "

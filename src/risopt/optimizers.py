@@ -1,31 +1,33 @@
 """Greedy configuration search over 0/180-degree surfaces.
 
 The paper's iterative search is one algorithm over groups of elements:
-visit each group in turn, try its other reflection state with the other
-groups held at their committed states, and keep the better.  ``_greedy``
-is that loop.  Each group costs two (configure + evaluate) steps, one per
-state, and the running best objective after each step is recorded in the
-trace.  Commits require strict improvement; ties keep the incumbent
-state, which makes runs deterministic for a given channel realization.
+start with every element at state 0, visit each group in turn, try its
+other reflection state with the other groups held at their committed
+states, and keep the better.  ``_greedy`` is that loop.  Each group costs
+two (configure + evaluate) steps, one per state, and the running best
+objective after each step is recorded in the trace.  Commits require
+strict improvement; ties keep state 0, which makes runs deterministic for
+a given channel realization.
 
-The two searches differ only in their groups.  ``im_optimize`` makes
-each element a group, in raster order (M*N*2 steps).  ``gim_optimize``
-makes each row or each column a group (N*2 or M*2 steps), so a
-horizontal and a vertical run together cost only (M+N)*2 steps; it
-returns a plain int64 state vector (one state per row, or per column),
-and ``combine_stripes(h_states, v_states)`` merges the pair, rows first,
-into a full per-element configuration.  ``exhaustive_optimize``
-enumerates every configuration and serves as a ground-truth oracle on
-tiny instances.
+The two searches differ only in their groups, and ``_flips(ch,
+grouping)`` builds both inputs of every search: each group's flip term
+(the change of the cascade sum from state 0 to 1) and the all-zero
+cascade sum.  ``im_optimize`` makes each element a group, in raster order
+(M*N*2 steps).  ``gim_optimize`` makes each row or each column a group
+(N*2 or M*2 steps), so a horizontal and a vertical run together cost only
+(M+N)*2 steps; it returns a plain int64 state vector (one state per row,
+or per column), and ``combine_stripes(h_states, v_states)`` merges the
+pair, rows first, into a full per-element configuration.
+``exhaustive_optimize`` enumerates every configuration and serves as a
+ground-truth oracle on tiny instances.
 
-``_greedy`` adds one flip term per group (the change of the cascade sum
-from state 0 to 1) on plain Python scalars, fastest for one channel.
-For a dataset sweep, ``batch_optimize`` runs IM and both stripe searches
-over many receiver angles at once in ``_greedy_batch``: the same loop,
-each scalar step one numpy call over the angle axis.  Its flips are
-built as the scalar searches build them and its magnitudes come from
-``np.hypot`` (libm ``hypot``, as Python's ``abs(complex)``), so its
-states are bit-identical to theirs.
+``_greedy`` adds the flip terms on plain Python scalars, fastest for one
+channel.  For a dataset sweep, ``batch_optimize`` runs IM and both stripe
+searches over many receiver angles at once in ``_greedy_batch``: the same
+loop, each scalar step one numpy call over the angle axis.  Its flips and
+start sums come from ``_flips`` and its magnitudes from ``np.hypot``
+(libm ``hypot``, as Python's ``abs(complex)``), so its states are
+bit-identical to the scalar searches'.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from risopt.physics import (
     PHASORS,
     ChannelMatrices,
     PhaseConfig,
-    cascade_gain,
     objective,
 )
 
@@ -51,63 +52,60 @@ class OptimizeTrace:
     """Step accounting for one optimizer run.
 
     ``best_objective_history[k]`` is the running best objective after
-    step k; it is non-decreasing and has exactly ``steps`` entries.
+    step k, non-decreasing; ``steps`` is its length and
+    ``final_objective`` its last value.
     """
 
-    steps: int
     best_objective_history: np.ndarray
-    final_objective: float
 
     def __post_init__(self):
         history = np.asarray(self.best_objective_history, dtype=float)
         object.__setattr__(self, "best_objective_history", history)
-        if history.ndim != 1 or len(history) != self.steps:
-            raise ValueError("history length must equal the step count")
-        if len(history) and np.any(np.diff(history) < 0):
+        if np.any(np.diff(history) < 0):
             raise ValueError("best-objective history must be non-decreasing")
 
+    @property
+    def steps(self) -> int:
+        return len(self.best_objective_history)
 
-def _greedy(flips, init, current) -> tuple:
-    """One greedy pass over groups of elements that share a state.
+    @property
+    def final_objective(self) -> float:
+        return float(self.best_objective_history[-1])
 
-    ``flips[k]`` changes the cascade sum ``current`` when group k goes
-    from state 0 to 1; ``init[k]`` (bool) is its starting state.  Each
-    group adds its flip, negated from state 1, and keeps the sum only if
-    its magnitude strictly beats the best so far.  numpy rebuilds the
-    rest from the best after each group: a group changed state iff the
-    best rose, and of its two steps (state 0, then 1) the trial is the
-    one off its starting state.  Returns the bool states and the trace.
+
+def _greedy(flips, current) -> tuple:
+    """One greedy pass from all-zero states over groups of elements that
+    share a state.
+
+    ``flips[k]`` changes the cascade sum when group k goes from state 0
+    to 1, and ``current`` is the sum with every group at state 0 (both
+    from :func:`_flips`).  Each group adds its flip and keeps the sum only
+    if its magnitude strictly beats the best so far.  numpy rebuilds the
+    rest from the best after each group: of its two steps (state 0, then
+    1) the first holds the best before the group and the second the best
+    after it, and the group is at state 1 iff the best rose.  Returns the
+    bool states and the trace.
     """
     best = abs(current)
     bests = [best]
-    for flip in np.where(init, -flips, flips).tolist():
+    for flip in flips.tolist():
         cand = current + flip
         value = abs(cand)
         if value > best:
             best, current = value, cand
         bests.append(best)
     history = np.repeat(bests, 2)[1:-1]  # group k: (best before, best after)
-    before, after = history[0::2], history[1::2]
-    rose = after > before
-    np.copyto(before, after, where=init)
-    return init ^ rose, OptimizeTrace(len(history), history, best)
+    return history[1::2] > history[0::2], OptimizeTrace(history)
 
 
-def im_optimize(ch: ChannelMatrices, init: PhaseConfig | None = None) -> tuple:
+def im_optimize(ch: ChannelMatrices) -> tuple:
     """Element-wise greedy search: one raster pass, 2 steps per element.
 
-    Elements are visited row 0..N-1, column 0..M-1 within each row, each
-    one a group of :func:`_greedy` that tries its other state once.  The
-    trace therefore has exactly M*N*2 steps and the final objective never
-    falls below the objective of ``init`` (all-zero states when omitted).
+    All elements start at state 0.  They are visited row 0..N-1, column
+    0..M-1 within each row, each one a group of :func:`_greedy` that
+    tries state 1 once, so the trace has exactly M*N*2 steps.
     """
-    n_rows, m_cols = ch.shape
-    if init is None:
-        init = PhaseConfig.zeros(n_rows, m_cols)
-    if init.shape != ch.shape:
-        raise ValueError(f"init shape {init.shape} does not match channels {ch.shape}")
-
-    states, trace = _greedy(_element_flips(ch), init.states.ravel() == 1, cascade_gain(ch, init))
+    states, trace = _greedy(*_flips(ch, "elements"))
     return PhaseConfig(states.reshape(ch.shape)), trace
 
 
@@ -124,22 +122,22 @@ def gim_optimize(ch: ChannelMatrices, orientation: str = "horizontal") -> tuple:
     if orientation not in ("horizontal", "vertical"):
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
 
-    flips, current = _stripe_flips(ch, orientation)
-    states, trace = _greedy(flips, np.zeros(len(flips), dtype=bool), current)
+    states, trace = _greedy(*_flips(ch, orientation))
     return states.astype(np.int64), trace
 
 
-def _element_flips(ch: ChannelMatrices) -> np.ndarray:
-    """Each element's flip term ``h*g*(phasor[1] - phasor[0])``, raster order."""
-    return _product(_product(ch.h.ravel(), ch.g.ravel()), _FLIP)
+def _flips(ch: ChannelMatrices, grouping: str) -> tuple:
+    """Each group's flip term ``h*g*(phasor[1] - phasor[0])`` and the
+    cascade sum with every element at state 0.
 
-
-def _stripe_flips(ch: ChannelMatrices, orientation: str) -> tuple:
-    """Each stripe's flip term, from its summed ``h*g``, and the cascade
-    sum with every element at state 0."""
+    ``grouping`` is ``"elements"`` (raster order, each element's ``h*g``
+    from :func:`_product`), ``"horizontal"`` (rows) or ``"vertical"``
+    (columns); a stripe's ``h*g`` is numpy's ``h * g`` summed over it.
+    """
     hg = ch.h * ch.g
-    stripe_hg = hg.sum(axis=1) if orientation == "horizontal" else hg.sum(axis=0)
-    return _product(stripe_hg, _FLIP), complex(hg.sum() * PHASORS[0])
+    group_hg = (_product(ch.h.ravel(), ch.g.ravel()) if grouping == "elements"
+                else hg.sum(axis=1 if grouping == "horizontal" else 0))
+    return _product(group_hg, _FLIP), complex(hg.sum() * PHASORS[0])
 
 
 def _product(a, b) -> np.ndarray:
@@ -152,12 +150,12 @@ def _product(a, b) -> np.ndarray:
 
 
 def _greedy_batch(flips, current) -> np.ndarray:
-    """:func:`_greedy` from all-zero states, for A problems at once.
+    """:func:`_greedy` for A problems at once.
 
-    ``flips[k, a]`` is problem a's flip term for group k, as in
-    :func:`_greedy`, and ``current[a]`` is its cascade sum with every
-    group at state 0.  Each scalar step of :func:`_greedy` is one numpy
-    call over the angle axis.  Returns the (K, A) bool states.
+    ``flips[k, a]`` is problem a's flip term for group k and ``current[a]``
+    its cascade sum with every group at state 0, as in :func:`_greedy`.
+    Each scalar step of :func:`_greedy` is one numpy call over the angle
+    axis.  Returns the (K, A) bool states.
     """
     current = current.copy()
     best = np.hypot(current.real, current.imag)
@@ -177,23 +175,24 @@ def _greedy_batch(flips, current) -> np.ndarray:
 def batch_optimize(channels) -> tuple:
     """IM and both stripe searches for A channels of one surface at once.
 
-    Returns int64 row states (A, N), column states (A, M) and element
-    states (A, N, M), bit-identical to ``gim_optimize(ch, "horizontal")``,
+    Each search stacks every channel's :func:`_flips` into (K, A) flips
+    and A start sums for :func:`_greedy_batch`.  Returns int64 row states
+    (A, N), column states (A, M) and element states (A, N, M),
+    bit-identical to ``gim_optimize(ch, "horizontal")``,
     ``gim_optimize(ch, "vertical")`` and ``im_optimize(ch)`` on every
     channel.  For one channel it takes about 10x as long as the scalar
     searches; at 40x40 it is faster from about 14 channels on.
     """
-    n_rows, m_cols = channels[0].shape
-    zeros = PhaseConfig.zeros(n_rows, m_cols)
-    flips = [np.empty((k, len(channels)), dtype=complex) for k in (n_rows * m_cols, n_rows, m_cols)]
-    starts = np.empty((3, len(channels)), dtype=complex)  # IM, horizontal, vertical
-    for a, ch in enumerate(channels):
-        starts[0, a] = cascade_gain(ch, zeros)
-        flips[0][:, a] = _element_flips(ch)
-        for i, orientation in ((1, "horizontal"), (2, "vertical")):
-            flips[i][:, a], starts[i, a] = _stripe_flips(ch, orientation)
-    im, rows, cols = (_greedy_batch(f, s).T.astype(np.int64) for f, s in zip(flips, starts))
-    return rows, cols, im.reshape(len(channels), n_rows, m_cols)
+    shape = channels[0].shape
+    if any(ch.shape != shape for ch in channels):
+        raise ValueError(f"a channel's shape does not match the first one's {shape}")
+
+    def search(grouping):
+        flips, starts = zip(*(_flips(ch, grouping) for ch in channels))
+        return _greedy_batch(np.stack(flips, axis=1), np.array(starts)).T.astype(np.int64)
+
+    return search("horizontal"), search("vertical"), search("elements").reshape(-1, *shape)
+
 
 def combine_stripes(h_states, v_states) -> PhaseConfig:
     """Merge the row states of a horizontal stripe search and the column

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risopt import cnn
+from risopt import cli, cnn
 from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
 from risopt.data import AngularGrid, load_manifest, load_splits
@@ -391,6 +391,21 @@ def test_train_stops_on_non_finite_loss(pipeline, tmp_path, capsys):
     assert code == 1
     assert "epoch 1: loss is not finite" in capsys.readouterr().err
     assert not weights.exists()
+
+
+def test_train_runs_in_float32(pipeline, tmp_path, monkeypatch):
+    # save_model writes float32 weights, and the library trains in float32
+    dtypes = []
+
+    def recording_train(model, *args):
+        dtypes.extend(layer.weights.dtype for layer in model.convs)
+        dtypes.extend(layer.bias.dtype for layer in model.convs)
+        return cnn.train(model, *args)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    assert main(["train", *BASE, "--data", str(pipeline["dataset"]), "--max-epochs", "1",
+                 "--weights-out", str(tmp_path / "net.rist")]) == 0
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
 
 
 def test_console_script_help_runs():

@@ -20,6 +20,7 @@ from risopt import (
 from risopt.optimizers import (
     OptimizeTrace,
     _greedy,
+    _greedy_batch,
     batch_optimize,
     combine_stripes,
     exhaustive_optimize,
@@ -48,64 +49,60 @@ def oracle_gain(ch, states):
     return total
 
 
-def oracle_im(ch, init_states):
-    """Greedy raster sweep, recomputing the objective from scratch every
-    trial; each element tries the state it did not start in, once."""
-    states = init_states.copy()
+def oracle_im(ch):
+    """Greedy raster sweep from all-zero states, recomputing the objective
+    from scratch every trial; each element tries state 1 once, and the
+    step of its starting state 0 keeps the best."""
+    states = np.zeros(ch.shape, dtype=np.int64)
     best = abs(oracle_gain(ch, states))
     n_rows, m_cols = ch.shape
     history = []
     for n in range(n_rows):
         for m in range(m_cols):
-            for p in (0, 1):
-                if p == init_states[n, m]:
-                    history.append(best)
-                    continue
-                trial = states.copy()
-                trial[n, m] = p
-                val = abs(oracle_gain(ch, trial))
-                if val > best:
-                    best = val
-                    states = trial
-                history.append(best)
+            history.append(best)
+            trial = states.copy()
+            trial[n, m] = 1
+            val = abs(oracle_gain(ch, trial))
+            if val > best:
+                best = val
+                states = trial
+            history.append(best)
     return states, best, history
 
 
-def reference_im(ch, init, *, use_incremental):
-    """Element-wise search built from the public per-trial helpers.
+def reference_im(ch, *, use_incremental):
+    """Element-wise search from all-zero states, built from the public
+    per-trial helpers.
 
-    Each element tries the state it did not start in, once; the step of
-    its starting state keeps the best.  Each trial either updates the
-    running sum with ``flip_delta`` (``use_incremental``) or recomputes
-    ``cascade_gain`` from scratch, and every commit builds a new
-    ``PhaseConfig``.  The incremental variant does the arithmetic of
-    ``im_optimize``'s scalar kernel, so the two must agree bit for bit;
-    the recompute variant agrees to rounding only, and on exact ties (a
-    1x1 surface, where flipping the element keeps the magnitude) it may
-    commit a different state.
+    Each element tries state 1 once; the step of its starting state 0
+    keeps the best.  Each trial either updates the running sum with
+    ``flip_delta`` (``use_incremental``) or recomputes ``cascade_gain``
+    from scratch, and every commit builds a new ``PhaseConfig``.  The
+    incremental variant does the arithmetic of ``im_optimize``'s scalar
+    kernel, so the two must agree bit for bit; the recompute variant
+    agrees to rounding only, and on exact ties (a 1x1 surface, where
+    flipping the element keeps the magnitude) it may commit a different
+    state.
     """
-    cfg = init
+    cfg = PhaseConfig.zeros(*ch.shape)
     current = cascade_gain(ch, cfg)
     best = abs(current)
     history = []
     n_rows, m_cols = ch.shape
     for row in range(n_rows):
         for col in range(m_cols):
-            for state in (0, 1):
-                if state == init.states[row, col]:
-                    history.append(best)
-                    continue
-                if use_incremental:
-                    cand_sum = flip_delta(ch, cfg, row, col, state, current)
-                else:
-                    cand_sum = cascade_gain(ch, with_state(cfg, row, col, state))
-                cand = abs(cand_sum)
-                if cand > best:
-                    best = cand
-                    cfg = with_state(cfg, row, col, state)
-                    current = cand_sum
-                history.append(best)
-    return cfg, OptimizeTrace(len(history), np.array(history), best)
+            history.append(best)
+            if use_incremental:
+                cand_sum = flip_delta(ch, cfg, row, col, 1, current)
+            else:
+                cand_sum = cascade_gain(ch, with_state(cfg, row, col, 1))
+            cand = abs(cand_sum)
+            if cand > best:
+                best = cand
+                cfg = with_state(cfg, row, col, 1)
+                current = cand_sum
+            history.append(best)
+    return cfg, OptimizeTrace(np.array(history))
 
 
 def reference_gim(ch, orientation, *, use_incremental):
@@ -141,7 +138,7 @@ def reference_gim(ch, orientation, *, use_incremental):
                 committed = j
                 current = cand_sum
             history.append(best)
-    return stripe_states, OptimizeTrace(len(history), np.array(history), best)
+    return stripe_states, OptimizeTrace(np.array(history))
 
 
 def _states(result):
@@ -234,11 +231,10 @@ def test_full_size_step_counts():
 
 def test_trace_validation():
     with pytest.raises(ValueError):
-        OptimizeTrace(3, [1.0, 2.0], 2.0)  # wrong length
-    with pytest.raises(ValueError):
-        OptimizeTrace(3, [1.0, 2.0, 1.5], 1.5)  # decreasing
-    t = OptimizeTrace(3, [1.0, 1.0, 2.0], 2.0)
-    assert t.final_objective == 2.0
+        OptimizeTrace([1.0, 2.0, 1.5])  # decreasing
+    t = OptimizeTrace([1.0, 1.0, 2.0])
+    assert t.steps == 3
+    assert t.final_objective == 2.0 and type(t.final_objective) is float
 
 
 # ---------------------------------------------------------------- element-wise IM
@@ -249,45 +245,44 @@ def test_im_matches_greedy_oracle():
         n_rows = int(rng.integers(1, 7))
         m_cols = int(rng.integers(1, 7))
         ch = random_channels(rng, n_rows, m_cols)
-        init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
-        want_states, want_best, want_hist = oracle_im(ch, init.states)
-        for cfg, trace in (im_optimize(ch, init),
-                           reference_im(ch, init, use_incremental=False)):
+        want_states, want_best, want_hist = oracle_im(ch)
+        for cfg, trace in (im_optimize(ch), reference_im(ch, use_incremental=False)):
             np.testing.assert_array_equal(cfg.states, want_states)
             assert trace.final_objective == pytest.approx(want_best, rel=1e-9)
             np.testing.assert_allclose(trace.best_objective_history, want_hist,
                                        rtol=1e-9)
 
 
-def assert_greedy(flips, init, current, want_states, want_history):
-    states, trace = _greedy(np.array(flips, dtype=complex), np.array(init), current)
+# Hand-made zero-start cases, each three groups on a start sum of 1:
+# name -> (flip terms, final states, two-step best history)
+GREEDY_CASES = {
+    "every group commits": ([1, 1j, 2], [True, True, True],
+                            [1.0, 2.0, 2.0, abs(2 + 1j), abs(2 + 1j), abs(4 + 1j)]),
+    "no group commits": ([-0.5, -1.5, -1], [False, False, False], [1.0] * 6),
+    # |1 - 2| == |1| exactly: a tie keeps state 0
+    "exact ties": ([-2, -2, -2], [False, False, False], [1.0] * 6),
+    # group 0 commits, group 1 ties at |-1 - 1j| == |1 + 1j|, group 2 commits
+    "mixed": ([1j, -2 - 2j, 1], [True, False, True],
+              [1.0, abs(1 + 1j), abs(1 + 1j), abs(1 + 1j), abs(1 + 1j), abs(2 + 1j)]),
+}
+
+
+def test_greedy_zero_start_cases_pin_both_kernels():
+    """One table pins both kernels: ``_greedy`` case by case, and
+    ``_greedy_batch`` with the cases as the columns of one batch."""
+    for flips, want_states, want_history in GREEDY_CASES.values():
+        states, trace = _greedy(np.array(flips, dtype=complex), 1 + 0j)
+        assert states.dtype == bool
+        assert states.tolist() == want_states
+        assert trace.steps == 2 * len(flips)
+        assert trace.best_objective_history.tolist() == want_history
+        assert trace.final_objective == want_history[-1]
+    flips = np.array([case[0] for case in GREEDY_CASES.values()], dtype=complex).T
+    starts = np.ones(flips.shape[1], dtype=complex)
+    states = _greedy_batch(flips, starts)
     assert states.dtype == bool
-    assert states.tolist() == want_states
-    assert trace.steps == 2 * len(flips)
-    assert trace.best_objective_history.tolist() == want_history
-    assert trace.final_objective == want_history[-1]
-
-
-def test_greedy_one_group():
-    assert_greedy([2 + 0j], [False], 1 + 0j, [True], [1.0, 3.0])
-    assert_greedy([-0.5 + 0j], [False], 1 + 0j, [False], [1.0, 1.0])
-    # from state 1 the trial subtracts the flip, and both steps show its result
-    assert_greedy([-2 + 0j], [True], 1 + 0j, [False], [3.0, 3.0])
-
-
-def test_greedy_every_group_starting_at_one():
-    # effective trials +1, -1, +0.5 on a sum of 1: the first and last commit
-    assert_greedy([-1, 1, -0.5], [True, True, True], 1 + 0j,
-                  [False, True, False], [2.0, 2.0, 2.0, 2.0, 2.5, 2.5])
-
-
-def test_greedy_mixed_starts():
-    # group 0 (at 0) commits; group 1 (at 1) ties and keeps its state;
-    # group 2 (at 1) commits, so its step 2k already holds the new best;
-    # group 3 (at 0) does not commit, so both its steps hold the old best
-    b0, b1, b2 = 1.0, abs(1 + 1j), abs(2 + 1j)
-    assert_greedy([1j, 2, -1, -0.1], [False, True, True, False], 1 + 0j,
-                  [True, True, False, False], [b0, b1, b1, b1, b2, b2, b2, b2])
+    assert states.T.tolist() == [case[1] for case in GREEDY_CASES.values()]
+    np.testing.assert_array_equal(starts, 1)  # the caller's start sums are not changed
 
 
 def test_im_single_element_tie_keeps_incumbent():
@@ -299,23 +294,17 @@ def test_im_single_element_tie_keeps_incumbent():
     assert trace.final_objective == pytest.approx(1.0, rel=1e-12)
 
 
-def test_im_never_below_init_objective():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        ch = random_channels(rng, 4, 4)
-        init = PhaseConfig(rng.integers(0, 2, (4, 4)))
-        cfg, trace = im_optimize(ch, init)
-        assert trace.final_objective >= objective(ch, init) - 1e-12
-        # tracked best agrees with recomputing the returned config
-        assert trace.final_objective == pytest.approx(objective(ch, cfg), rel=1e-9)
-
-
 def test_im_rerun_from_output_does_not_decrease():
+    # A search from config c is the all-zero search on the channel with
+    # c's phasors folded into h; its flips are taken relative to c.
     rng = np.random.default_rng(20)
     ch = random_channels(rng, 5, 5)
     cfg1, t1 = im_optimize(ch)
-    cfg2, t2 = im_optimize(ch, cfg1)
+    folded = ChannelMatrices(ch.h * np.where(cfg1.states == 1, -1.0, 1.0), ch.g)
+    cfg2, t2 = im_optimize(folded)
     assert t2.final_objective >= t1.final_objective - 1e-12
+    rerun = PhaseConfig(cfg1.states ^ cfg2.states)
+    assert objective(ch, rerun) == pytest.approx(t2.final_objective, rel=1e-9)
 
 
 def test_im_history_monotone_and_counts():
@@ -325,13 +314,6 @@ def test_im_history_monotone_and_counts():
     assert trace.steps == 36
     assert len(trace.best_objective_history) == 36
     assert np.all(np.diff(trace.best_objective_history) >= 0)
-
-
-def test_im_init_validation():
-    rng = np.random.default_rng(22)
-    ch = random_channels(rng, 3, 3)
-    with pytest.raises(ValueError):
-        im_optimize(ch, PhaseConfig.zeros(2, 3))
 
 
 # ---------------------------------------------------------------- stripe G-IM
@@ -524,11 +506,10 @@ def test_incremental_and_recompute_commit_identically():
         n_rows = int(rng.integers(2, 9))
         m_cols = int(rng.integers(2, 9))
         ch = random_channels(rng, n_rows, m_cols)
-        zeros = PhaseConfig.zeros(n_rows, m_cols)
         got = im_optimize(ch)
-        assert_bit_identical(got, reference_im(ch, zeros, use_incremental=True))
+        assert_bit_identical(got, reference_im(ch, use_incremental=True))
         assert_matches_recompute(
-            got, reference_im(ch, zeros, use_incremental=False),
+            got, reference_im(ch, use_incremental=False),
             ties_possible=False)
         for orientation in ("horizontal", "vertical"):
             got = gim_optimize(ch, orientation=orientation)
@@ -542,23 +523,9 @@ def test_incremental_and_recompute_commit_identically():
 def test_im_bit_identical_to_reference_on_desk_channels():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
     illum = compute_illumination(geom, TxSpec(1.0))
-    zeros = PhaseConfig.zeros(40, 40)
     for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
         ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
-        assert_bit_identical(im_optimize(ch),
-                             reference_im(ch, zeros, use_incremental=True))
-
-
-def test_im_from_random_and_searched_inits_bit_identical_on_desk_channels():
-    geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
-    rng = np.random.default_rng(52)
-    for el, az in [(-40.0, 30.0), (5.0, 120.0), (50.0, 170.0)]:
-        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
-        searched, _ = im_optimize(ch)
-        for init in (PhaseConfig(rng.integers(0, 2, (40, 40))), searched):
-            assert_bit_identical(im_optimize(ch, init),
-                                 reference_im(ch, init, use_incremental=True))
+        assert_bit_identical(im_optimize(ch), reference_im(ch, use_incremental=True))
 
 
 def test_gim_bit_identical_to_reference_on_desk_channels():
@@ -574,32 +541,25 @@ def test_gim_bit_identical_to_reference_on_desk_channels():
 
 @st.composite
 def greedy_instances(draw):
-    """Seeded Gaussian channel and optional random init."""
+    """Seeded Gaussian channel of 1x1 to 6x6 elements."""
     n_rows = draw(st.integers(1, 6))
     m_cols = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ch = random_channels(rng, n_rows, m_cols)
-    init = None
-    if draw(st.booleans()):
-        init = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
-    return ch, init
+    return random_channels(rng, n_rows, m_cols)
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_instances())
-def test_im_property_matches_reference_searches(instance):
-    ch, init = instance
-    start = init if init is not None else PhaseConfig.zeros(*ch.shape)
-    got = im_optimize(ch, init)
-    assert_bit_identical(got, reference_im(ch, start, use_incremental=True))
-    assert_matches_recompute(got, reference_im(ch, start, use_incremental=False),
+def test_im_property_matches_reference_searches(ch):
+    got = im_optimize(ch)
+    assert_bit_identical(got, reference_im(ch, use_incremental=True))
+    assert_matches_recompute(got, reference_im(ch, use_incremental=False),
                              ties_possible=ch.h.size == 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_instances(), st.sampled_from(("horizontal", "vertical")))
-def test_gim_property_matches_reference_searches(instance, orientation):
-    ch, _ = instance
+def test_gim_property_matches_reference_searches(ch, orientation):
     n_stripes = ch.shape[0] if orientation == "horizontal" else ch.shape[1]
     got = gim_optimize(ch, orientation)
     assert_bit_identical(got, reference_gim(ch, orientation, use_incremental=True))
@@ -610,12 +570,11 @@ def test_gim_property_matches_reference_searches(instance, orientation):
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_instances(), st.sampled_from(("horizontal", "vertical")))
-def test_gim_is_im_over_stripe_groups(instance, orientation):
+def test_gim_is_im_over_stripe_groups(ch, orientation):
     """A stripe search is the element-wise search on a surface whose
     elements are the stripes: h holds each stripe's summed h*g and g is 1.
     The two start sums add the same terms in a different order, so the
     histories agree to rounding, and a single stripe may tie."""
-    ch, _ = instance
     hg = ch.h * ch.g
     if orientation == "horizontal":
         h = hg.sum(axis=1)[:, np.newaxis]  # (N, 1)
