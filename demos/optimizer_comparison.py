@@ -27,7 +27,7 @@ from risopt.optimizers import (
 def main():
     geom = RisGeometry.half_wavelength(3, 3, 5e9)
     tx = TxSpec(0.3)
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx)
     rng = np.random.default_rng(11)
 
     print("3x3 surface, 30 random receiver placements")
@@ -36,7 +36,7 @@ def main():
     for _ in range(30):
         el = rng.uniform(-60, 60)
         az = rng.uniform(0, 180)
-        ch = compute_channels(geom, illum, RxSpec(5.0, el, az))
+        ch = compute_channels(geom, h, RxSpec(5.0, el, az))
 
         best_cfg, _ = exhaustive_optimize(ch)
         im_cfg, _ = im_optimize(ch)

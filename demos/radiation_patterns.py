@@ -45,17 +45,17 @@ def describe_peak(pattern, label):
 def main():
     geom = RisGeometry.half_wavelength(16, 16, 5e9)
     tx = TxSpec(1.0)
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx)
     elevations = np.arange(-60.0, 61.0, 1.0)
     azimuths = np.arange(0.0, 181.0, 1.0)
 
     broadside = PhaseConfig.zeros(16, 16)
-    pat0 = radiation_pattern(geom, illum, broadside, elevations, azimuths)
+    pat0 = radiation_pattern(geom, h, broadside, elevations, azimuths)
 
     target = RxSpec(10.0, 25.0, 120.0)
-    ch = compute_channels(geom, illum, target)
+    ch = compute_channels(geom, h, target)
     steered_cfg, trace = im_optimize(ch)
-    pat1 = radiation_pattern(geom, illum, steered_cfg, elevations, azimuths)
+    pat1 = radiation_pattern(geom, h, steered_cfg, elevations, azimuths)
 
     print("All-zero configuration (specular broadside beam):")
     print(ascii_heatmap(pat0))

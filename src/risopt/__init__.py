@@ -7,7 +7,6 @@ from risopt.physics import (
     SPEED_OF_LIGHT,
     ChannelMatrices,
     DegeneratePowerError,
-    Illumination,
     PatternGrid,
     PhaseConfig,
     RisGeometry,

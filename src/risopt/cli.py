@@ -234,8 +234,8 @@ class _UsageError(Exception):
 
 
 def _surface(args) -> tuple:
-    """Geometry, transmitter and illumination the shared flags describe; a
-    surface whose illumination overflows is a usage error."""
+    """Geometry, transmitter and Tx-side coefficients ``h`` the shared flags
+    describe; a surface whose illumination overflows is a usage error."""
     freq = args.freq_ghz * 1e9
     if args.spacing is None:
         geom = RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
@@ -243,10 +243,10 @@ def _surface(args) -> tuple:
         geom = RisGeometry(args.ris_m, args.ris_n, args.spacing, args.spacing, freq)
     tx = TxSpec(args.tx_dist)
     try:
-        illum = compute_illumination(geom, tx)
+        h = compute_illumination(geom, tx, flat_tx_phase=args.flat_tx_phase)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --freq-ghz, --spacing and --tx-dist") from None
-    return geom, tx, illum
+    return geom, tx, h
 
 
 def _check_dataset_flags(args) -> None:
@@ -370,9 +370,8 @@ def cmd_eval(args) -> int:
 def cmd_optimize(args) -> int:
     if args.method == "cnn" and not args.weights:
         raise _UsageError("--method cnn requires --weights")
-    geom, _, illum = _surface(args)
-    ch = compute_channels(geom, illum, RxSpec(args.rx_dist, args.el, args.az),
-                          flat_tx_phase=args.flat_tx_phase)
+    geom, _, h = _surface(args)
+    ch = compute_channels(geom, h, RxSpec(args.rx_dist, args.el, args.az))
 
     if args.method == "im":
         cfg, trace = im_optimize(ch)
@@ -408,7 +407,7 @@ def pattern_csv(pat) -> str:
 
 
 def cmd_pattern(args) -> int:
-    geom, _, illum = _surface(args)
+    geom, _, h = _surface(args)
     try:
         grid = AngularGrid(step_deg=args.step)
     except ValueError as exc:
@@ -423,7 +422,7 @@ def cmd_pattern(args) -> int:
                          "indices: each element is 0 (0 degrees) or 1 (180 degrees)")
     cfg = PhaseConfig(values.astype(np.int64))
 
-    pat = radiation_pattern(geom, illum, cfg,
+    pat = radiation_pattern(geom, h, cfg,
                             grid.elevation_values(), grid.azimuth_values())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

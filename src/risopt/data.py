@@ -43,7 +43,6 @@ from risopt.physics import (
     compute_illumination,
     objective,
     rx_channel,
-    tx_channel,
 )
 from risopt.tensorfile import save_tensors
 
@@ -246,21 +245,21 @@ def _sample(ch, rx: RxSpec, h_states, v_states, ref_cfg: PhaseConfig) -> Sample:
     )
 
 
-def generate_sample(geom, illum, rx: RxSpec, *, flat_tx_phase: bool = False) -> Sample:
-    """Run both stripe searches and the element-wise reference at one angle."""
-    ch = compute_channels(geom, illum, rx, flat_tx_phase=flat_tx_phase)
+def generate_sample(geom, h, rx: RxSpec) -> Sample:
+    """Run both stripe searches and the element-wise reference at one angle,
+    on the Tx side ``h`` of ``compute_illumination``."""
+    ch = compute_channels(geom, h, rx)
     h_states, _ = gim_optimize(ch, orientation="horizontal")
     v_states, _ = gim_optimize(ch, orientation="vertical")
     ref_cfg, _ = im_optimize(ch)
     return _sample(ch, rx, h_states, v_states, ref_cfg)
 
 
-def _generate_chunk(geom, illum, rxs, flat_tx_phase: bool) -> list:
+def _generate_chunk(geom, h, rxs) -> list:
     """:func:`generate_sample` at every receiver of ``rxs``, with the
     searches batched over the angles when there are enough of them."""
     if len(rxs) < MIN_BATCH:
-        return [generate_sample(geom, illum, rx, flat_tx_phase=flat_tx_phase) for rx in rxs]
-    h = tx_channel(geom, illum, flat_tx_phase=flat_tx_phase)  # the same at every receiver
+        return [generate_sample(geom, h, rx) for rx in rxs]
     chs = [ChannelMatrices(h, rx_channel(geom, rx)) for rx in rxs]
     return [_sample(ch, rx, h_states, v_states, PhaseConfig(ref))
             for ch, rx, h_states, v_states, ref in zip(chs, rxs, *batch_optimize(chs))]
@@ -286,14 +285,14 @@ def generate_dataset(
     total = grid.num_points
     splits = split_dataset(total, split_ratios, split_seed)
 
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx, flat_tx_phase=flat_tx_phase)
     # float32, as save_tensors writes them
     inputs = np.empty((total, geom.n_rows, geom.m_cols, 2), dtype=np.float32)
     targets = np.empty((total, geom.n_rows, geom.m_cols), dtype=np.float32)
     rows = []
     points = grid.points()
     while chunk := [RxSpec(rx_distance, el, az) for az, el in islice(points, BATCH_ANGLES)]:
-        for sample in _generate_chunk(geom, illum, chunk, flat_tx_phase):
+        for sample in _generate_chunk(geom, h, chunk):
             i = len(rows)
             inputs[i], targets[i] = encode_sample(sample)
             rows.append({

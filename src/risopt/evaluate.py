@@ -106,14 +106,13 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         raise ValueError("model does not take 2-channel stripe inputs")
 
     geom = manifest.geometry
-    illum = compute_illumination(geom, manifest.tx)
+    h = compute_illumination(geom, manifest.tx, flat_tx_phase=manifest.flat_tx_phase)
 
     rows = []
     for idx in splits[split]:
         meta = sample_rows[idx]
         az, el = meta["azimuth_deg"], meta["elevation_deg"]
-        ch = compute_channels(geom, illum, RxSpec(manifest.rx_distance_m, el, az),
-                              flat_tx_phase=manifest.flat_tx_phase)
+        ch = compute_channels(geom, h, RxSpec(manifest.rx_distance_m, el, az))
         ref = PhaseConfig(pm1_to_states(targets[idx]))
         combined = combine_stripes(*stripe_states(inputs[idx]))
         predicted = predict_config(model, inputs[idx])

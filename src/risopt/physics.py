@@ -10,11 +10,15 @@ Angles follow one convention throughout: elevation is measured from the
 surface boresight (+z) and azimuth in the xy-plane, so a direction
 (theta, phi) has unit vector ``(sin t cos p, sin t sin p, cos t)``.
 
-The transmitter illuminates the surface from the near field (per-element
-spherical-wave amplitude and phase); the receiver is modelled in the far
-field through a single plane-wave steering phase per element.  Each
-element reflects with phase 0 or 180 degrees (state 0 or 1); the cascade
-of illumination, reflection, and steering gives the received signal.
+The transmitter illuminates the surface from the near field: the Tx-side
+coefficients ``h`` of :func:`compute_illumination` carry each element's
+spherical-wave amplitude, phase and incidence taper, and depend only on
+the surface and the transmitter.  The receiver is modelled in the far
+field through a single plane-wave steering phase per element (the
+Rx-side ``g``).  Each element reflects with phase 0 or 180 degrees
+(state 0 or 1, phasor ``PHASORS[state]``).  The cascade of ``h``,
+reflection and ``g`` gives the received signal, and ``h`` times the
+reflection phasor weights each element of the radiation pattern.
 """
 
 from __future__ import annotations
@@ -152,18 +156,6 @@ class PhaseConfig:
     def shape(self) -> tuple:
         return self.states.shape
 
-    def phases_rad(self) -> np.ndarray:
-        return np.deg2rad(np.asarray(PHASE_TABLE)[self.states])
-
-
-@dataclass(frozen=True)
-class Illumination:
-    """Per-element incident amplitude, phase (radians), and cos of incidence angle."""
-
-    amp: np.ndarray
-    phase: np.ndarray
-    cos_inc: np.ndarray
-
 
 @dataclass(frozen=True)
 class ChannelMatrices:
@@ -200,15 +192,19 @@ def _check_dims(geom: RisGeometry, *mats) -> None:
             raise ValueError(f"shape {m.shape} does not match geometry {shape}")
 
 
-def compute_illumination(geom: RisGeometry, tx: TxSpec) -> Illumination:
-    """Spherical-wave illumination of every element by the transmitter.
+def compute_illumination(geom: RisGeometry, tx: TxSpec, *,
+                         flat_tx_phase: bool = False) -> np.ndarray:
+    """Tx-side coefficients ``h[n, m] = amp * exp(j * phase) * cos_inc``.
 
     For each element at lattice position p and Tx-to-element distance r:
     amplitude ``wavelength / (4 pi r)``, phase ``-k0 * r``, and
     ``cos_inc`` the cosine of the angle between the element boresight
-    (+z) and the direction from the element to the Tx.  A surface or Tx
-    distance so large (or a carrier so low) that any of these overflows
-    is rejected.
+    (+z) and the direction from the element to the Tx.  With
+    ``flat_tx_phase`` the per-element Tx phase is dropped
+    (``h = amp * cos_inc``), leaving only path-loss amplitude and
+    incidence taper.  ``h`` does not depend on the receiver.  A surface
+    or Tx distance so large (or a carrier so low) that any of these
+    overflows is rejected.
     """
     tx_pos = tx.position()
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -222,29 +218,9 @@ def compute_illumination(geom: RisGeometry, tx: TxSpec) -> Illumination:
         cos_inc = tx_pos[2] / r
     if not all(np.isfinite(a).all() for a in (amp, phase, cos_inc)):
         raise ValueError("the surface illumination is not finite")
-    return Illumination(amp, phase, cos_inc)
-
-
-def _steering(geom: RisGeometry, elevation_deg: float, azimuth_deg: float) -> np.ndarray:
-    """Per-element (N, M) steering phasors toward (elevation, azimuth)."""
-    u, v = direction_cosines(elevation_deg, azimuth_deg)
-    col = geom.k0 * geom.dx * np.arange(geom.m_cols) * u
-    row = geom.k0 * geom.dy * np.arange(geom.n_rows) * v
-    return np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
-
-
-def tx_channel(geom: RisGeometry, illum: Illumination, *, flat_tx_phase: bool = False) -> np.ndarray:
-    """Tx-side coefficients ``h[n, m] = amp * exp(j * phase) * cos_inc``.
-
-    They carry the near-field illumination; with ``flat_tx_phase`` the
-    per-element Tx phase is dropped (``h = amp * cos_inc``), leaving only
-    path-loss amplitude and incidence taper.  ``h`` does not depend on
-    the receiver.
-    """
-    _check_dims(geom, illum.amp, illum.phase, illum.cos_inc)
     if flat_tx_phase:
-        return (illum.amp * illum.cos_inc).astype(complex)
-    return illum.amp * np.exp(1j * illum.phase) * illum.cos_inc
+        return (amp * cos_inc).astype(complex)
+    return amp * np.exp(1j * phase) * cos_inc
 
 
 def rx_channel(geom: RisGeometry, rx: RxSpec) -> np.ndarray:
@@ -253,16 +229,17 @@ def rx_channel(geom: RisGeometry, rx: RxSpec) -> np.ndarray:
     with the shared far-field path loss ``L_rx = wavelength / (4 pi d_rx)``.
     """
     l_rx = geom.wavelength / (4 * np.pi * rx.distance)
-    steer = _steering(geom, rx.elevation_deg, rx.azimuth_deg)
+    u, v = direction_cosines(rx.elevation_deg, rx.azimuth_deg)
+    col = geom.k0 * geom.dx * np.arange(geom.m_cols) * u
+    row = geom.k0 * geom.dy * np.arange(geom.n_rows) * v
+    steer = np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
     return l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer
 
 
-def compute_channels(geom: RisGeometry, illum: Illumination, rx: RxSpec, *,
-                     flat_tx_phase: bool = False) -> ChannelMatrices:
-    """Per-element channel coefficients: h from :func:`tx_channel` and g
-    from :func:`rx_channel`."""
-    return ChannelMatrices(tx_channel(geom, illum, flat_tx_phase=flat_tx_phase),
-                           rx_channel(geom, rx))
+def compute_channels(geom: RisGeometry, h: np.ndarray, rx: RxSpec) -> ChannelMatrices:
+    """Per-element channel coefficients: the Tx side ``h`` of
+    :func:`compute_illumination` and g from :func:`rx_channel`."""
+    return ChannelMatrices(h, rx_channel(geom, rx))
 
 
 _PATTERN_BLOCK = 512  # directions per GEMM block; keeps the ramps in cache
@@ -277,12 +254,13 @@ def _fill_ramp(out: np.ndarray, step: np.ndarray) -> None:
 
 def radiation_pattern(
     geom: RisGeometry,
-    illum: Illumination,
+    h: np.ndarray,
     cfg: PhaseConfig,
     elevations,
     azimuths,
 ) -> PatternGrid:
-    """Scattered field over an elevation x azimuth grid.
+    """Scattered field over an elevation x azimuth grid, each element
+    weighted by ``h * PHASORS[state]`` as in :func:`cascade_gain`.
 
     Equivalent to evaluating the direct per-element sum at every grid
     point (the test oracle ``scattered_field`` in ``tests/oracles.py``).
@@ -303,9 +281,9 @@ def radiation_pattern(
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
     if elevations.size == 0 or azimuths.size == 0:
         raise ValueError("angle lists must be non-empty")
-    _check_dims(geom, illum.amp, cfg.states)
+    _check_dims(geom, h, cfg.states)
 
-    weights = illum.amp * np.exp(1j * (illum.phase + cfg.phases_rad())) * illum.cos_inc
+    weights = h * PHASORS[cfg.states]
 
     u, v = direction_cosines(elevations[:, np.newaxis], azimuths[np.newaxis, :])
     step_x = np.exp(1j * geom.k0 * geom.dx * u).ravel()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.evaluate import CSV_COLUMNS
-from risopt.physics import PHASE_TABLE, PhaseConfig, _check_dims, _steering
+from risopt.physics import PHASE_TABLE, PhaseConfig, _check_dims
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -30,19 +30,28 @@ def flip_delta(ch, cfg, row, col, new_state, current_sum):
     return current_sum + hg * (np.exp(1j * new_phase) - np.exp(1j * old_phase))
 
 
-def scattered_field(geom, illum, cfg, elevation_deg, azimuth_deg):
+def phases_rad(cfg):
+    """Reflection phase in radians of every element of ``cfg``."""
+    return np.deg2rad(np.asarray(PHASE_TABLE)[cfg.states])
+
+
+def scattered_field(geom, h, cfg, elevation_deg, azimuth_deg):
     """Scattered far field in direction (elevation, azimuth).
 
-    Superposition over all elements of illumination, unit-amplitude
-    reflection with the element's configured phase, and the array
-    steering factor, weighted by the cos(elevation) element pattern of
-    the reflected wave.  ``physics.radiation_pattern`` is checked against
-    this direct sum.
+    Superposition over all elements of the Tx-side coefficient ``h``,
+    unit-amplitude reflection with the element's configured phase, and
+    the array steering factor, weighted by the cos(elevation) element
+    pattern of the reflected wave.  ``physics.radiation_pattern`` is
+    checked against this direct sum; it computes its own steering and
+    reflection phases.
     """
-    _check_dims(geom, illum.amp, cfg.states)
-    steer = _steering(geom, elevation_deg, azimuth_deg)
-    terms = illum.amp * np.exp(1j * (illum.phase + cfg.phases_rad())) * illum.cos_inc * steer
-    return complex(np.cos(np.deg2rad(elevation_deg)) * terms.sum())
+    _check_dims(geom, h, cfg.states)
+    t, p = np.deg2rad(elevation_deg), np.deg2rad(azimuth_deg)
+    m = np.arange(geom.m_cols)[np.newaxis, :]
+    n = np.arange(geom.n_rows)[:, np.newaxis]
+    steer = geom.k0 * np.sin(t) * (m * geom.dx * np.cos(p) + n * geom.dy * np.sin(p))
+    terms = h * np.exp(1j * (phases_rad(cfg) + steer))
+    return complex(np.cos(t) * terms.sum())
 
 
 def with_state(cfg, row, col, state):

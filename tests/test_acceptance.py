@@ -16,7 +16,6 @@ import pytest
 
 from risopt import (
     ChannelMatrices,
-    Illumination,
     PhaseConfig,
     RisGeometry,
     RxSpec,
@@ -78,8 +77,7 @@ def test_step_count_reduction(capsys):
     assert step_count("GIM", 40, 40, 2) == 160
 
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
-    ch = compute_channels(geom, illum, RxSpec(10.0, 30.0, 120.0))
+    ch = compute_channels(geom, compute_illumination(geom, TxSpec(1.0)), RxSpec(10.0, 30.0, 120.0))
     _, trace = im_optimize(ch)
     assert trace.steps == 3200
     _, tr_h = gim_optimize(ch, orientation="horizontal")
@@ -94,7 +92,7 @@ def test_step_count_reduction(capsys):
 
 # ------------------------------------------------- 2: physics vs naive loops
 
-def _oracle_field(geom, illum, cfg, elev_deg, azim_deg):
+def _oracle_field(geom, h, cfg, elev_deg, azim_deg):
     k0 = 2 * np.pi * geom.carrier_freq / SPEED_OF_LIGHT
     t, p = np.deg2rad(elev_deg), np.deg2rad(azim_deg)
     total = 0.0 + 0.0j
@@ -103,8 +101,7 @@ def _oracle_field(geom, illum, cfg, elev_deg, azim_deg):
             refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
             steer = k0 * (m * geom.dx * np.sin(t) * np.cos(p)
                           + n * geom.dy * np.sin(t) * np.sin(p))
-            total += (illum.amp[n, m] * np.exp(1j * illum.phase[n, m])
-                      * illum.cos_inc[n, m] * np.exp(1j * (refl + steer)))
+            total += h[n, m] * np.exp(1j * (refl + steer))
     return np.cos(t) * total
 
 
@@ -137,11 +134,11 @@ def test_physics_matches_naive_oracles(capsys):
     worst = 0.0
     for _ in range(50):
         geom, tx, rx, cfg = _random_instance(rng)
-        illum = compute_illumination(geom, tx)
-        ch = compute_channels(geom, illum, rx)
+        h = compute_illumination(geom, tx)
+        ch = compute_channels(geom, h, rx)
 
-        field = scattered_field(geom, illum, cfg, rx.elevation_deg, rx.azimuth_deg)
-        want = _oracle_field(geom, illum, cfg, rx.elevation_deg, rx.azimuth_deg)
+        field = scattered_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
+        want = _oracle_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
         worst = max(worst, abs(field - want) / abs(want))
 
         gain = cascade_gain(ch, cfg)
@@ -190,11 +187,10 @@ def test_physics_matches_naive_oracles(capsys):
 def test_broadside_magnitude_equals_element_count(capsys):
     for m_cols, n_rows in ((8, 8), (16, 10), (40, 40)):
         geom = RisGeometry.half_wavelength(m_cols, n_rows, 5e9)
-        ones = np.ones((n_rows, m_cols))
-        illum = Illumination(ones, np.zeros_like(ones), ones)
+        unit = np.ones((n_rows, m_cols), complex)
         cfg = PhaseConfig.zeros(n_rows, m_cols)
         for azim in (0.0, 45.0, 137.0):
-            mag = abs(scattered_field(geom, illum, cfg, 0.0, azim))
+            mag = abs(scattered_field(geom, unit, cfg, 0.0, azim))
             assert abs(mag - m_cols * n_rows) <= 1e-9 * m_cols * n_rows
     report(capsys, "[acceptance] broadside |field| = M*N under unit "
                    "illumination for 3 shapes (rel 1e-9) -- PASS")

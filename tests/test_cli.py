@@ -320,6 +320,23 @@ def test_pattern_is_deterministic(pipeline, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--flat-tx-phase"]], ids=["near-field", "flat"])
+def test_pattern_at_the_optimized_angle_reads_the_objective(tmp_path, capsys, flags):
+    # optimize reports |sum h * phasor * g| and pattern the same sum without
+    # the Rx path loss lambda / (4 pi rx_dist) of g: the two differ by it alone
+    config, out = tmp_path / "gim.rist", tmp_path / "pattern.csv"
+    assert main(["optimize", *BASE, *flags, "--method", "gim", "--el", "20", "--az", "40",
+                 "--config-out", str(config)]) == 0
+    objective_db = float(re.search(r"objective_db=(\S+)", capsys.readouterr().out).group(1))
+    assert main(["pattern", *BASE, *flags, "--config", str(config), "--step", "5",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").split()[1:]]
+    [power_db] = [float(p) for el, az, p in rows if (float(el), float(az)) == (20.0, 40.0)]
+    wavelength = RisGeometry.half_wavelength(8, 8, 10e9).wavelength
+    path_loss_db = 20 * np.log10(wavelength / (4 * np.pi * 4.0))
+    assert abs(power_db - (objective_db - path_loss_db)) < 1e-9
+
+
 def test_pattern_rejects_mismatched_geometry(pipeline, capsys):
     code = main(["pattern", "--ris-m", "4", "--ris-n", "4", "--freq-ghz", "10",
                  "--config", str(pipeline["config"]),
@@ -338,10 +355,10 @@ def test_pattern_csv_bytes_match_fstring_loop(pipeline):
         return "\n".join(lines) + "\n"
 
     geom = RisGeometry.half_wavelength(8, 8, 10e9)
-    illum = compute_illumination(geom, TxSpec(0.6))
+    h = compute_illumination(geom, TxSpec(0.6))
     cfg = PhaseConfig(load_tensors(pipeline["config"])[0].astype(np.int64))
     grid = AngularGrid(step_deg=0.7)  # non-terminating decimals on both axes
-    pat = radiation_pattern(geom, illum, cfg, grid.elevation_values(), grid.azimuth_values())
+    pat = radiation_pattern(geom, h, cfg, grid.elevation_values(), grid.azimuth_values())
     assert pattern_csv(pat) == fstring_loop(pat)
 
     edge = np.array([[-300.0, -0.0, 5e-324], [1e300, float("nan"), -float("inf")]])

@@ -225,8 +225,8 @@ def test_generate_single_point_matches_direct_run(tmp_path):
     manifest = generate_dataset(geom, tx, 10.0, grid, tmp_path)
     assert manifest.counts["total"] == 1
 
-    illum = compute_illumination(geom, tx)
-    ch = compute_channels(geom, illum, RxSpec(10.0, 25.0, 120.0))
+    h = compute_illumination(geom, tx)
+    ch = compute_channels(geom, h, RxSpec(10.0, 25.0, 120.0))
     ref, _ = im_optimize(ch)
     _, targets = load_arrays(tmp_path)
     np.testing.assert_array_equal(pm1_to_states(targets[0]), ref.states)
@@ -268,9 +268,9 @@ def test_stored_objectives_match_recomputation(tmp_path):
     generate_dataset(geom, tx, 10.0, grid, tmp_path)
     rows = load_sample_rows(tmp_path)
     inputs, targets = load_arrays(tmp_path)
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx)
     for i, row in enumerate(rows):
-        ch = compute_channels(geom, illum,
+        ch = compute_channels(geom, h,
                               RxSpec(10.0, row["elevation_deg"], row["azimuth_deg"]))
         ref = PhaseConfig(pm1_to_states(targets[i]))
         combined = combine_stripes(pm1_to_states(inputs[i, :, 0, 0]),
@@ -405,8 +405,8 @@ def test_splits_file_matches_split_function(tmp_path):
 
 def test_generate_sample_orientations():
     geom, tx = small_setup(3, 5)
-    illum = compute_illumination(geom, tx)
-    s = generate_sample(geom, illum, RxSpec(10.0, 10.0, 60.0))
+    h = compute_illumination(geom, tx)
+    s = generate_sample(geom, h, RxSpec(10.0, 10.0, 60.0))
     assert s.h_states.shape == (5,)  # one state per row
     assert s.v_states.shape == (3,)  # one state per column
     assert s.h_states.dtype == s.v_states.dtype == np.int64
@@ -445,19 +445,23 @@ def test_load_arrays_names_an_empty_record_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("count", [data.MIN_BATCH - 1, data.MIN_BATCH, data.BATCH_ANGLES + 1])
-def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count):
+@pytest.mark.parametrize("count, flat", [
+    pytest.param(count, flat, id=f"{count}-flat" if flat else str(count))
+    for flat in (False, True)
+    for count in (data.MIN_BATCH - 1, data.MIN_BATCH, data.BATCH_ANGLES + 1)])
+def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count, flat):
     """Grids one angle below the batch crossover, exactly at it, and one
-    chunk plus one angle write what generate_sample writes angle by angle."""
+    chunk plus one angle write what generate_sample writes angle by angle,
+    with the near-field and with the flat Tx side."""
     geom, tx = small_setup(7, 5)
     grid = AngularGrid(30.0, 30.0, -32.0, -32.0 + 0.5 * (count - 1), 0.5)
     ticks = []
-    generate_dataset(geom, tx, 10.0, grid, tmp_path,
+    generate_dataset(geom, tx, 10.0, grid, tmp_path, flat_tx_phase=flat,
                      progress=lambda done, total: ticks.append((done, total)))
     assert ticks == [(i, count) for i in range(1, count + 1)]
 
-    illum = compute_illumination(geom, tx)
-    samples = [generate_sample(geom, illum, RxSpec(10.0, el, az)) for az, el in grid.points()]
+    h = compute_illumination(geom, tx, flat_tx_phase=flat)
+    samples = [generate_sample(geom, h, RxSpec(10.0, el, az)) for az, el in grid.points()]
     inputs, targets = zip(*map(encode_sample, samples))
     save_tensors(tmp_path / "ref_inputs.rist", inputs)
     save_tensors(tmp_path / "ref_targets.rist", targets)

@@ -1,4 +1,5 @@
-"""The demo scripts run to completion against the package in ``src``."""
+"""The demo scripts, and the README's library example, run to completion
+against the package in ``src``."""
 
 import os
 import subprocess
@@ -29,3 +30,11 @@ def test_optimizer_comparison_demo_reports_step_budgets():
     assert "IM matched the exhaustive optimum in" in out
     budget = [line.split() for line in out.splitlines() if line.lstrip().startswith("40x40")]
     assert budget == [["40x40", "IM", "3200", "steps", "stripes", "160", "steps", "(20.0x", "fewer)"]]
+
+
+def test_readme_library_example_runs(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    values = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(values) == 2 and all(v > 0 for v in values)

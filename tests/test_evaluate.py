@@ -145,11 +145,11 @@ def test_gap_recomputed_by_hand_matches_row(real_dir):
                                pm1_to_states(inputs[idx, 0, :, 1]))
     ref = PhaseConfig(pm1_to_states(targets[idx]))
 
-    illum = compute_illumination(manifest.geometry, manifest.tx)
-    ch = compute_channels(manifest.geometry, illum,
+    h = compute_illumination(manifest.geometry, manifest.tx,
+                             flat_tx_phase=manifest.flat_tx_phase)
+    ch = compute_channels(manifest.geometry, h,
                           RxSpec(manifest.rx_distance_m,
-                                 row["elevation_deg"], row["azimuth_deg"]),
-                          flat_tx_phase=manifest.flat_tx_phase)
+                                 row["elevation_deg"], row["azimuth_deg"]))
     gap = power_db(objective(ch, ref)) - power_db(objective(ch, combined))
     assert abs(gap - row["gap_gim_db"]) < 1e-9
 

@@ -522,17 +522,17 @@ def test_incremental_and_recompute_commit_identically():
 
 def test_im_bit_identical_to_reference_on_desk_channels():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
-        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
+        ch = compute_channels(geom, h, RxSpec(10.0, el, az))
         assert_bit_identical(im_optimize(ch), reference_im(ch, use_incremental=True))
 
 
 def test_gim_bit_identical_to_reference_on_desk_channels():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     for el, az in [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0)]:
-        ch = compute_channels(geom, illum, RxSpec(10.0, el, az))
+        ch = compute_channels(geom, h, RxSpec(10.0, el, az))
         for orientation in ("horizontal", "vertical"):
             assert_bit_identical(
                 gim_optimize(ch, orientation),
@@ -603,10 +603,10 @@ def assert_batch_matches_per_angle_searches(chs):
 
 def test_batch_bit_identical_to_per_angle_searches_on_desk_channels():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     angles = [(-60.0, 0.0), (-25.0, 95.0), (0.0, 40.0), (35.0, 150.0), (60.0, 180.0), (12.5, 7.5)]
     assert_batch_matches_per_angle_searches(
-        [compute_channels(geom, illum, RxSpec(10.0, el, az)) for el, az in angles])
+        [compute_channels(geom, h, RxSpec(10.0, el, az)) for el, az in angles])
 
 
 def test_batch_rejects_channels_of_another_surface():

@@ -12,7 +12,6 @@ from risopt import (
     PHASE_TABLE,
     ChannelMatrices,
     DegeneratePowerError,
-    Illumination,
     PhaseConfig,
     RisGeometry,
     RxSpec,
@@ -28,7 +27,7 @@ from risopt import (
 from risopt import physics
 from risopt.physics import SPEED_OF_LIGHT, direction_cosines
 
-from oracles import flip_delta, scattered_field, with_state
+from oracles import flip_delta, phases_rad, scattered_field, with_state
 
 
 # ---------------------------------------------------------------- oracles
@@ -68,7 +67,13 @@ def oracle_illumination(geom, tx):
     return amp, phase, cos_inc
 
 
-def oracle_field(geom, illum, cfg, elev_deg, azim_deg):
+def oracle_h(geom, tx):
+    """Tx-side coefficients ``amp * e^{j phase} * cos_inc`` of the oracle illumination."""
+    amp, phase, cos_inc = oracle_illumination(geom, tx)
+    return amp * np.exp(1j * phase) * cos_inc
+
+
+def oracle_field(geom, h, cfg, elev_deg, azim_deg):
     """Direct double-loop accumulation of the scattered-field sum."""
     k0 = 2 * np.pi * geom.carrier_freq / SPEED_OF_LIGHT
     t = np.deg2rad(elev_deg)
@@ -82,9 +87,7 @@ def oracle_field(geom, illum, cfg, elev_deg, azim_deg):
                 + n * geom.dy * np.sin(t) * np.sin(p)
             )
             total += (
-                illum.amp[n, m]
-                * np.exp(1j * illum.phase[n, m])
-                * illum.cos_inc[n, m]
+                h[n, m]
                 * np.exp(1j * refl)
                 * np.exp(1j * steer)
             )
@@ -179,7 +182,8 @@ def test_direction_unit_matches_oracle():
 
 def test_phase_config_lookup_and_copy():
     cfg = PhaseConfig(np.array([[0, 1], [1, 0]]))
-    np.testing.assert_array_equal(cfg.phases_rad(), [[0.0, np.pi], [np.pi, 0.0]])
+    np.testing.assert_array_equal(phases_rad(cfg), [[0.0, np.pi], [np.pi, 0.0]])
+    np.testing.assert_allclose(physics.PHASORS[cfg.states], [[1, -1], [-1, 1]], atol=1e-15)
     cfg2 = with_state(cfg, 0, 0, 1)
     assert cfg2.states[0, 0] == 1
     assert cfg.states[0, 0] == 0  # original untouched
@@ -199,22 +203,26 @@ def test_illumination_matches_vector_oracle():
     rng = np.random.default_rng(21)
     for _ in range(30):
         geom, tx, _, _ = random_instance(rng)
-        illum = compute_illumination(geom, tx)
         amp, phase, cos_inc = oracle_illumination(geom, tx)
-        np.testing.assert_allclose(illum.amp, amp, rtol=1e-12)
-        np.testing.assert_allclose(illum.phase, phase, rtol=1e-12)
-        np.testing.assert_allclose(illum.cos_inc, cos_inc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(compute_illumination(geom, tx),
+                                   amp * np.exp(1j * phase) * cos_inc, rtol=1e-12)
+        flat = compute_illumination(geom, tx, flat_tx_phase=True)
+        np.testing.assert_array_equal(flat.imag, 0.0)
+        np.testing.assert_allclose(flat.real, amp * cos_inc, rtol=1e-12)
 
 
 def test_illumination_broadside_symmetry():
-    # Tx on boresight: illumination symmetric under row/col reversal,
-    # peak amplitude at the elements nearest the center.
+    # Tx on boresight: h symmetric under row/col reversal, peak magnitude
+    # at the elements nearest the center; the flat form real and positive.
     geom = RisGeometry.half_wavelength(6, 6, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
-    np.testing.assert_allclose(illum.amp, illum.amp[::-1, :], rtol=1e-13)
-    np.testing.assert_allclose(illum.amp, illum.amp[:, ::-1], rtol=1e-13)
-    assert illum.amp.max() == illum.amp[2:4, 2:4].max()
-    assert np.all(illum.cos_inc > 0) and np.all(illum.cos_inc <= 1)
+    for flat in (False, True):
+        h = compute_illumination(geom, TxSpec(1.0), flat_tx_phase=flat)
+        np.testing.assert_allclose(h, h[::-1, :], rtol=1e-13)
+        np.testing.assert_allclose(h, h[:, ::-1], rtol=1e-13)
+        assert abs(h).max() == abs(h[2:4, 2:4]).max()
+    np.testing.assert_array_equal(h.imag, 0.0)  # the flat form, amp * cos_inc
+    assert np.all(h.real > 0)
+    np.testing.assert_allclose(h.real, abs(oracle_h(geom, TxSpec(1.0))), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- channels
@@ -223,8 +231,8 @@ def test_channels_match_scalar_oracle():
     rng = np.random.default_rng(31)
     for _ in range(30):
         geom, tx, rx, _ = random_instance(rng)
-        illum = compute_illumination(geom, tx)
-        ch = compute_channels(geom, illum, rx)
+        ch = compute_channels(geom, compute_illumination(geom, tx), rx)
+        h = oracle_h(geom, tx)
         lam = SPEED_OF_LIGHT / geom.carrier_freq
         k0 = 2 * np.pi / lam
         t = np.deg2rad(rx.elevation_deg)
@@ -232,24 +240,24 @@ def test_channels_match_scalar_oracle():
         l_rx = lam / (4 * np.pi * rx.distance)
         for n in range(geom.n_rows):
             for m in range(geom.m_cols):
-                h_ref = (illum.amp[n, m] * np.exp(1j * illum.phase[n, m])
-                         * illum.cos_inc[n, m])
                 g_ref = l_rx * np.cos(t) * np.exp(1j * k0 * (
                     m * geom.dx * np.sin(t) * np.cos(p)
                     + n * geom.dy * np.sin(t) * np.sin(p)))
-                assert abs(ch.h[n, m] - h_ref) <= 1e-12 * abs(h_ref)
+                assert abs(ch.h[n, m] - h[n, m]) <= 1e-12 * abs(h[n, m])
                 assert abs(ch.g[n, m] - g_ref) <= 1e-12 * abs(g_ref) + 1e-300
 
 
 def test_flat_tx_phase_drops_illumination_phase():
     geom = RisGeometry.half_wavelength(4, 4, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0, 10.0, 45.0))
-    ch = compute_channels(geom, illum, RxSpec(10.0), flat_tx_phase=True)
-    np.testing.assert_array_equal(ch.h.imag, 0.0)
-    np.testing.assert_allclose(ch.h.real, illum.amp * illum.cos_inc, rtol=1e-15)
-    # g side unaffected by the flag
-    ch_full = compute_channels(geom, illum, RxSpec(10.0))
-    np.testing.assert_array_equal(ch.g, ch_full.g)
+    tx = TxSpec(1.0, 10.0, 45.0)
+    flat = compute_illumination(geom, tx, flat_tx_phase=True)
+    h = compute_illumination(geom, tx)
+    np.testing.assert_array_equal(flat.imag, 0.0)
+    np.testing.assert_allclose(flat.real, abs(h), rtol=1e-15)
+    # the channels take h as given, and the g side does not see it
+    ch = compute_channels(geom, flat, RxSpec(10.0))
+    assert ch.h is flat
+    np.testing.assert_array_equal(ch.g, compute_channels(geom, h, RxSpec(10.0)).g)
 
 
 # ---------------------------------------------------------------- scattered field
@@ -258,30 +266,28 @@ def test_scattered_field_matches_double_loop():
     rng = np.random.default_rng(41)
     for _ in range(30):
         geom, tx, _, cfg = random_instance(rng)
-        illum = compute_illumination(geom, tx)
+        h = compute_illumination(geom, tx)
         elev = float(rng.uniform(-89, 89))
         azim = float(rng.uniform(0, 360))
-        got = scattered_field(geom, illum, cfg, elev, azim)
-        want = oracle_field(geom, illum, cfg, elev, azim)
+        got = scattered_field(geom, h, cfg, elev, azim)
+        want = oracle_field(geom, h, cfg, elev, azim)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
 
 
 def test_broadside_uniform_field_is_element_count():
-    # Unit illumination, all elements in phase: perfect coherent sum.
+    # Unit Tx side, all elements in phase: perfect coherent sum.
     for m_cols, n_rows in [(4, 4), (3, 7), (40, 40)]:
         geom = RisGeometry.half_wavelength(m_cols, n_rows, 5e9)
-        ones = np.ones((n_rows, m_cols))
-        illum = Illumination(ones, np.zeros_like(ones), ones)
         cfg = PhaseConfig.zeros(n_rows, m_cols)
-        e = scattered_field(geom, illum, cfg, 0.0, 0.0)
+        e = scattered_field(geom, np.ones((n_rows, m_cols), complex), cfg, 0.0, 0.0)
         assert abs(e - m_cols * n_rows) < 1e-9
 
 
 def test_scattered_field_shape_mismatch():
     geom = RisGeometry.half_wavelength(4, 4, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     with pytest.raises(ValueError):
-        scattered_field(geom, illum, PhaseConfig.zeros(3, 4), 0.0, 0.0)
+        scattered_field(geom, h, PhaseConfig.zeros(3, 4), 0.0, 0.0)
 
 
 def test_global_phase_offset_preserves_magnitude():
@@ -289,10 +295,10 @@ def test_global_phase_offset_preserves_magnitude():
     # field but not |E|.
     rng = np.random.default_rng(51)
     geom, tx, _, cfg = random_instance(rng)
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx)
     shifted = PhaseConfig(1 - cfg.states)
-    e0 = scattered_field(geom, illum, cfg, 25.0, 40.0)
-    e1 = scattered_field(geom, illum, shifted, 25.0, 40.0)
+    e0 = scattered_field(geom, h, cfg, 25.0, 40.0)
+    e1 = scattered_field(geom, h, shifted, 25.0, 40.0)
     assert abs(abs(e0) - abs(e1)) < 1e-12 * abs(e0)
 
 
@@ -301,14 +307,14 @@ def test_global_phase_offset_preserves_magnitude():
 def test_pattern_matches_pointwise_field():
     rng = np.random.default_rng(61)
     geom, tx, _, cfg = random_instance(rng)
-    illum = compute_illumination(geom, tx)
+    h = compute_illumination(geom, tx)
     elevs = np.array([-60.0, -15.0, 0.0, 30.0, 75.0])
     azims = np.array([0.0, 90.0, 181.0, 355.0])
-    pat = radiation_pattern(geom, illum, cfg, elevs, azims)
+    pat = radiation_pattern(geom, h, cfg, elevs, azims)
     assert pat.field.shape == (5, 4)
     for i, t in enumerate(elevs):
         for j, p in enumerate(azims):
-            want = scattered_field(geom, illum, cfg, float(t), float(p))
+            want = scattered_field(geom, h, cfg, float(t), float(p))
             assert abs(pat.field[i, j] - want) <= 1e-12 * max(abs(want), 1e-30)
             if abs(want) > 0:
                 assert pat.power_db[i, j] == pytest.approx(
@@ -317,44 +323,43 @@ def test_pattern_matches_pointwise_field():
 
 def test_pattern_zero_field_floor():
     geom = RisGeometry.half_wavelength(3, 3, 5e9)
-    zeros = np.zeros((3, 3))
-    illum = Illumination(zeros, zeros, zeros)  # dark surface
-    pat = radiation_pattern(geom, illum, PhaseConfig.zeros(3, 3), [0.0], [0.0])
+    dark = np.zeros((3, 3), complex)
+    pat = radiation_pattern(geom, dark, PhaseConfig.zeros(3, 3), [0.0], [0.0])
     assert pat.power_db[0, 0] == -300.0
 
 
 def test_pattern_rejects_empty_grid():
     geom = RisGeometry.half_wavelength(3, 3, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     with pytest.raises(ValueError):
-        radiation_pattern(geom, illum, PhaseConfig.zeros(3, 3), [], [0.0])
+        radiation_pattern(geom, h, PhaseConfig.zeros(3, 3), [], [0.0])
 
 
-def assert_pattern_matches_field(geom, illum, cfg, elevs, azims):
+def assert_pattern_matches_field(geom, h, cfg, elevs, azims):
     """Every grid point of the blocked pattern within 1e-12 of scattered_field."""
-    pat = radiation_pattern(geom, illum, cfg, elevs, azims)
+    pat = radiation_pattern(geom, h, cfg, elevs, azims)
     assert pat.field.shape == (len(elevs), len(azims))
     for i, t in enumerate(elevs):
         for j, p in enumerate(azims):
-            want = scattered_field(geom, illum, cfg, float(t), float(p))
+            want = scattered_field(geom, h, cfg, float(t), float(p))
             assert abs(pat.field[i, j] - want) <= 1e-12 * max(abs(want), 1e-30), (t, p)
 
 
 def test_pattern_crosses_block_boundary_on_desk_surface():
     geom = RisGeometry.half_wavelength(40, 40, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
+    h = compute_illumination(geom, TxSpec(1.0))
     cfg = PhaseConfig(np.random.default_rng(62).integers(0, 2, (40, 40)))
     elevs = np.arange(-60.0, 61.0, 5.0)
     azims = np.arange(0.0, 181.0, 5.0)
     assert len(elevs) * len(azims) > physics._PATTERN_BLOCK  # 925 directions, two blocks
-    assert_pattern_matches_field(geom, illum, cfg, elevs, azims)
+    assert_pattern_matches_field(geom, h, cfg, elevs, azims)
 
 
 def test_pattern_non_square_surface():
     geom = RisGeometry.half_wavelength(96, 128, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0, 20.0, 45.0))
+    h = compute_illumination(geom, TxSpec(1.0, 20.0, 45.0))
     cfg = PhaseConfig(np.random.default_rng(63).integers(0, 2, (128, 96)))
-    assert_pattern_matches_field(geom, illum, cfg, np.arange(-60.0, 61.0, 10.0),
+    assert_pattern_matches_field(geom, h, cfg, np.arange(-60.0, 61.0, 10.0),
                                  np.arange(0.0, 360.0, 20.0))
 
 
@@ -362,9 +367,9 @@ def test_pattern_non_square_surface():
 def test_pattern_single_row_or_column(m_cols, n_rows):
     # one lattice axis has a one-element ramp: only its k = 0 row is used
     geom = RisGeometry.half_wavelength(m_cols, n_rows, 5e9)
-    illum = compute_illumination(geom, TxSpec(0.5))
+    h = compute_illumination(geom, TxSpec(0.5))
     cfg = PhaseConfig(np.random.default_rng(64).integers(0, 2, (n_rows, m_cols)))
-    assert_pattern_matches_field(geom, illum, cfg, np.arange(-60.0, 61.0, 5.0),
+    assert_pattern_matches_field(geom, h, cfg, np.arange(-60.0, 61.0, 5.0),
                                  np.arange(0.0, 181.0, 5.0))
 
 
@@ -374,8 +379,8 @@ def test_cascade_gain_matches_scalar_oracle():
     rng = np.random.default_rng(71)
     for _ in range(30):
         geom, tx, rx, cfg = random_instance(rng)
-        illum = compute_illumination(geom, tx)
-        ch = compute_channels(geom, illum, rx)
+        h = compute_illumination(geom, tx)
+        ch = compute_channels(geom, h, rx)
         got = cascade_gain(ch, cfg)
         want = oracle_gain(ch, cfg)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
@@ -386,26 +391,26 @@ def test_cascade_gain_equals_scaled_field_at_rx():
     rng = np.random.default_rng(81)
     for _ in range(20):
         geom, tx, rx, cfg = random_instance(rng)
-        illum = compute_illumination(geom, tx)
-        ch = compute_channels(geom, illum, rx)
-        g_val = cascade_gain(ch, cfg)
-        e_val = scattered_field(geom, illum, cfg, rx.elevation_deg, rx.azimuth_deg)
-        l_rx = geom.wavelength / (4 * np.pi * rx.distance)
-        assert abs(g_val - l_rx * e_val) <= 1e-9 * max(abs(g_val), 1e-30)
+        for flat in (False, True):
+            h = compute_illumination(geom, tx, flat_tx_phase=flat)
+            g_val = cascade_gain(compute_channels(geom, h, rx), cfg)
+            e_val = scattered_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
+            l_rx = geom.wavelength / (4 * np.pi * rx.distance)
+            assert abs(g_val - l_rx * e_val) <= 1e-9 * max(abs(g_val), 1e-30)
 
 
 def test_objective_is_gain_magnitude():
     rng = np.random.default_rng(91)
     geom, tx, rx, cfg = random_instance(rng)
-    illum = compute_illumination(geom, tx)
-    ch = compute_channels(geom, illum, rx)
+    h = compute_illumination(geom, tx)
+    ch = compute_channels(geom, h, rx)
     assert objective(ch, cfg) == abs(cascade_gain(ch, cfg))
 
 
 def test_cascade_gain_shape_mismatch():
     geom = RisGeometry.half_wavelength(4, 4, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
-    ch = compute_channels(geom, illum, RxSpec(10.0))
+    h = compute_illumination(geom, TxSpec(1.0))
+    ch = compute_channels(geom, h, RxSpec(10.0))
     with pytest.raises(ValueError):
         cascade_gain(ch, PhaseConfig.zeros(4, 5))
 
@@ -416,8 +421,8 @@ def test_flip_delta_matches_recompute():
     rng = np.random.default_rng(101)
     for _ in range(20):
         geom, tx, rx, cfg = random_instance(rng)
-        illum = compute_illumination(geom, tx)
-        ch = compute_channels(geom, illum, rx)
+        h = compute_illumination(geom, tx)
+        ch = compute_channels(geom, h, rx)
         current = cascade_gain(ch, cfg)
         for _ in range(25):
             row = int(rng.integers(0, geom.n_rows))
@@ -433,8 +438,8 @@ def test_flip_delta_matches_recompute():
 def test_flip_delta_noop_is_bitwise_identical():
     rng = np.random.default_rng(111)
     geom, tx, rx, cfg = random_instance(rng)
-    illum = compute_illumination(geom, tx)
-    ch = compute_channels(geom, illum, rx)
+    h = compute_illumination(geom, tx)
+    ch = compute_channels(geom, h, rx)
     current = cascade_gain(ch, cfg)
     same = flip_delta(ch, cfg, 0, 0, int(cfg.states[0, 0]), current)
     assert same == current
@@ -442,8 +447,8 @@ def test_flip_delta_noop_is_bitwise_identical():
 
 def test_flip_delta_bounds():
     geom = RisGeometry.half_wavelength(4, 4, 5e9)
-    illum = compute_illumination(geom, TxSpec(1.0))
-    ch = compute_channels(geom, illum, RxSpec(10.0))
+    h = compute_illumination(geom, TxSpec(1.0))
+    ch = compute_channels(geom, h, RxSpec(10.0))
     cfg = PhaseConfig.zeros(4, 4)
     s = cascade_gain(ch, cfg)
     with pytest.raises(ValueError):
@@ -459,8 +464,8 @@ def test_flip_delta_bounds():
 def _small_link(seed=7):
     rng = np.random.default_rng(seed)
     geom, tx, rx, cfg = random_instance(rng, max_side=5)
-    illum = compute_illumination(geom, tx)
-    return compute_channels(geom, illum, rx), cfg
+    h = compute_illumination(geom, tx)
+    return compute_channels(geom, h, rx), cfg
 
 
 def test_noiseless_signal_is_pure_scaling():
