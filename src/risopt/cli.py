@@ -271,6 +271,16 @@ def _check_dataset_flags(args) -> None:
                               f"whose manifest has {shown!r}")
 
 
+def _output(text: str, flag: str) -> Path:
+    """``text`` as a Path, once its parent directory exists; a path whose
+    parent cannot be made is a usage error that names ``flag``."""
+    try:
+        Path(text).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"{flag} {text}: {exc}") from None
+    return Path(text)
+
+
 def _stderr(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
@@ -282,6 +292,10 @@ def cmd_generate(args) -> int:
                            args.grid_el[0], args.grid_el[1], args.grid_step)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --grid-az, --grid-el and --grid-step") from None
+    # the directory is made only after the sweep, so check what is in its way
+    found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not found.is_dir():
+        raise _UsageError(f"--out {args.out}: {found} is not a directory")
 
     def progress(done, total):
         if done == total or done % max(1, total // 20) == 0:
@@ -299,6 +313,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     _check_dataset_flags(args)
+    weights_out = _output(args.weights_out, "--weights-out")
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
@@ -317,8 +332,6 @@ def cmd_train(args) -> int:
         cfg, progress)
     train_seconds = time.perf_counter() - t0
 
-    weights_out = Path(args.weights_out)
-    weights_out.parent.mkdir(parents=True, exist_ok=True)
     save_model(weights_out, trained)
     history_path = weights_out.parent / (weights_out.stem + "_history.csv")
     lines = ["epoch,train_loss,val_loss"]
@@ -348,11 +361,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_dataset_flags(args)
+    report_out = _output(args.report_out, "--report-out")
     model = load_model(args.weights)
     report = evaluate_split(args.data, model, args.split,
                             noise_snr_db=args.snr_db, noise_seed=args.seed)
-    report_out = Path(args.report_out)
-    report_out.parent.mkdir(parents=True, exist_ok=True)
     report.to_csv(report_out)
     summary_path = report_out.parent / (report_out.stem + "_summary.json")
     report.save_summary(summary_path)
@@ -412,6 +424,7 @@ def cmd_pattern(args) -> int:
         grid = AngularGrid(step_deg=args.step)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --step") from None
+    out = _output(args.out, "--out")
     records = load_tensors(args.config)
     if len(records) != 1 or records[0].shape != (geom.n_rows, geom.m_cols):
         raise ValueError(f"{args.config} does not match the geometry: expected a single "
@@ -424,8 +437,6 @@ def cmd_pattern(args) -> int:
 
     pat = radiation_pattern(geom, h, cfg,
                             grid.elevation_values(), grid.azimuth_values())
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(pattern_csv(pat), encoding="utf-8")
     print(f"rows={pat.power_db.size}")
     print(f"pattern={out}")

@@ -20,16 +20,18 @@ gives one contiguous slab view per kernel offset, starting at row
 im2col copy; the ``Wp - W`` wrap columns are cropped.  The backward pass
 uses the same slabs for ``dW`` and the input gradient.
 
-When a core is idle, every conv layer runs on two threads: numpy
-releases the GIL inside BLAS, so one module-level worker thread takes
-half of the layer's GEMMs.  The forward pass splits the output rows at
-``(H // 2) * Wp``, and each half runs the same per-offset loop over its
-own rows; the backward pass gives the worker all the ``dW`` GEMMs while
-the calling thread accumulates the input gradient.  Every GEMM and
-every accumulation order is the same as on one thread, so results are
-bit-identical either way.  A core counts as idle when the process may
-run on more cores than numpy's OpenBLAS uses (read once at import);
-where that thread count cannot be read, everything runs inline.
+The forward pass computes the output rows in two fixed halves, split at
+``(H // 2) * Wp``; the backward pass computes ``dW`` and the input
+gradient in two separate loops.  When a core is idle, a layer of at
+least ``SPLIT_MACS`` multiply-accumulates (``H*W*kh*kw*cin*cout``) hands
+the second half, or the ``dW`` loop, to one module-level worker thread,
+as numpy releases the GIL inside BLAS; a smaller layer runs both on the
+calling thread, where the hand-off would cost more than it saves.  Every
+GEMM and accumulation order is the same either way, so results do not
+depend on the core count (OpenBLAS's own thread count can still round
+``dW`` differently).  A core counts as idle when the process may run on
+more cores than numpy's OpenBLAS uses (read once at import); where that
+thread count cannot be read, everything runs inline.
 """
 
 from __future__ import annotations
@@ -169,9 +171,11 @@ def _conv_threads(blas_threads) -> int:
 
 
 # read once at import: BLAS's thread count (None if unreadable), and the
-# number of threads each conv layer runs on
+# number of threads a conv layer of SPLIT_MACS or more runs on
 BLAS_THREADS = _blas_threads()
 CONV_THREADS = _conv_threads(BLAS_THREADS)
+# the fewest H*W*kh*kw*cin*cout that pay for a hand-off to the worker
+SPLIT_MACS = 2**25
 
 
 @functools.cache
@@ -187,9 +191,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
-def _on_two_threads(here, there) -> None:
+def _on_two_threads(here, there, macs: int) -> None:
     """Run ``there`` on the conv worker thread, under this thread's numpy
-    error state, while ``here`` runs on this one."""
+    error state, while ``here`` runs on this one; with no idle core, or
+    below ``SPLIT_MACS`` multiply-accumulates, run both here in turn."""
+    if CONV_THREADS == 1 or macs < SPLIT_MACS:
+        here()
+        return there()
     state = {"call": np.geterrcall(), **np.geterr()}
 
     def run():
@@ -210,21 +218,18 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     h, w, _ = x.shape
     wp, n = w + kw - 1, h * (w + kw - 1)
     # the extra bottom row keeps the last offset's slab in bounds
-    xp = np.pad(x, (((kh - 1) // 2, kh // 2 + 1), ((kw - 1) // 2, kw // 2), (0, 0)))
-    xp = xp.reshape(-1, cin)
-    z = np.full((n, cout), bias, dtype=x.dtype)
+    xp = np.zeros(((h + kh) * wp, cin), dtype=x.dtype)
+    xp.reshape(h + kh, wp, cin)[(kh - 1) // 2:, (kw - 1) // 2:][:h, :w] = x
+    z = np.empty((n, cout), dtype=x.dtype)
+    taps = [(dy * wp + dx, weights[dy, dx]) for dy in range(kh) for dx in range(kw)]
 
     def rows(lo, hi):
-        for dy in range(kh):
-            for dx in range(kw):
-                off = dy * wp + dx
-                z[lo:hi] += xp[off + lo:off + hi] @ weights[dy, dx]
+        np.add(xp[lo:hi] @ weights[0, 0], bias, out=z[lo:hi])
+        for off, tap in taps[1:]:
+            z[lo:hi] += xp[off + lo:off + hi] @ tap
 
-    if CONV_THREADS == 2:
-        mid = (h // 2) * wp
-        _on_two_threads(lambda: rows(0, mid), lambda: rows(mid, n))
-    else:
-        rows(0, n)
+    mid = (h // 2) * wp
+    _on_two_threads(lambda: rows(0, mid), lambda: rows(mid, n), h * w * weights.size)
     return z.reshape(h, wp, cout)[:, :w], xp
 
 
@@ -247,11 +252,7 @@ def _conv_backward(xp: np.ndarray, weights: np.ndarray, dz: np.ndarray):
         for dy, dx, off in offsets:
             dxp[off:off + n] += dzp @ weights[dy, dx].T
 
-    if CONV_THREADS == 2:
-        _on_two_threads(input_grads, weight_grads)
-    else:
-        weight_grads()
-        input_grads()
+    _on_two_threads(input_grads, weight_grads, h * w * weights.size)
     top, left = (kh - 1) // 2, (kw - 1) // 2
     dx = dxp.reshape(-1, wp, cin)[top:top + h, left:left + w]
     return dw, dz.reshape(-1, cout).sum(axis=0), dx

@@ -90,19 +90,25 @@ def load_report_csv(path) -> list:
 
 
 def serial_conv_forward(x, weights, bias):
-    """The shifted-slab conv of ``cnn._conv_forward`` on one thread: every
-    kernel offset is one GEMM over all output rows, accumulated in order.
-    Returns the (H, W, cout) pre-activation and the flat padded input."""
+    """The shifted-slab conv of ``cnn._conv_forward`` on one thread: the
+    output rows in the same two halves, split at ``(H // 2) * Wp``, the
+    first half and then the second, each a GEMM per kernel offset
+    accumulated in order onto the bias.  A GEMM's rounding can depend on
+    its row count, so the halves are what make the result the same on
+    one thread and on two.  Returns the (H, W, cout) pre-activation and
+    the flat padded input."""
     kh, kw, cin, cout = weights.shape
     h, w, _ = x.shape
     wp, n = w + kw - 1, h * (w + kw - 1)
     xp = np.pad(x, (((kh - 1) // 2, kh // 2 + 1), ((kw - 1) // 2, kw // 2), (0, 0)))
     xp = xp.reshape(-1, cin)
     z = np.full((n, cout), bias, dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            off = dy * wp + dx
-            z += xp[off:off + n] @ weights[dy, dx]
+    mid = (h // 2) * wp
+    for lo, hi in ((0, mid), (mid, n)):
+        for dy in range(kh):
+            for dx in range(kw):
+                off = dy * wp + dx
+                z[lo:hi] += xp[off + lo:off + hi] @ weights[dy, dx]
     return z.reshape(h, wp, cout)[:, :w], xp
 
 

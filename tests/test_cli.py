@@ -633,6 +633,36 @@ def test_out_of_range_split_index_is_runtime_error(pipeline, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, out", [
+    ("generate", "--out", "file"),
+    ("generate", "--out", "file/ds"),
+    ("train", "--weights-out", "file/net.rist"),
+    ("train", "--weights-out", "file/sub/net.rist"),
+    ("eval", "--report-out", "file/report.csv"),
+    ("pattern", "--out", "file/pattern.csv"),
+])
+def test_output_under_a_regular_file_fails_before_any_work(
+        pipeline, tmp_path, capsys, command, flag, out):
+    # a stage that could not write its result would run to the end first
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = tmp_path / out
+    argv = {
+        "generate": ["generate", *BASE, "--grid-az", "0,40", "--grid-el", "0,20",
+                     "--grid-step", "20"],
+        "train": ["train", "--data", str(pipeline["dataset"]), "--max-epochs", "1"],
+        "eval": ["eval", "--data", str(pipeline["dataset"]),
+                 "--weights", str(pipeline["weights"])],
+        "pattern": ["pattern", *BASE, "--config", str(pipeline["config"]), "--step", "20"],
+    }[command]
+    assert main([*argv, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {out}: ")
+    assert captured.err.count("\n") == 1  # no progress line came first
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 # a 12x10 surface: the default 40x40 would mask a dropped --ris-m or --ris-n
 _SURFACE_12X10 = ["--ris-m", "12", "--ris-n", "10", "--freq-ghz", "10",
                   "--tx-dist", "0.6", "--rx-dist", "4"]

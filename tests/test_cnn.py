@@ -383,8 +383,10 @@ def test_adam_identical_gradients_update_identically():
 
 @pytest.fixture(params=[1, 2], ids=["inline", "split"])
 def conv_threads(request, monkeypatch):
-    """Run the conv layers inline, or split over the worker thread."""
+    """Run the conv layers inline, or split over the worker thread: the
+    split case drops the size cut, so even the smallest layer uses it."""
     monkeypatch.setattr(cnn, "CONV_THREADS", request.param)
+    monkeypatch.setattr(cnn, "SPLIT_MACS", 0)
     return request.param
 
 
@@ -420,6 +422,25 @@ def test_conv_bit_identical_to_serial_kernel(conv_threads, dtype, kh, kw, cin, c
         assert g.dtype == dtype and np.array_equal(g, expected), name
 
 
+@pytest.mark.parametrize("dtype, kh, kw, cin, cout, h, w", [
+    *[(dtype, *case) for dtype in (np.float32, np.float64) for case in _THREAD_CASES],
+    # layer 6 at 50x50, below the cut: in float32 one GEMM over all the
+    # rows rounds differently from the two halves
+    (np.float32, 3, 3, 64, 8, 50, 50),
+])
+def test_conv_bytes_do_not_depend_on_the_thread_count(monkeypatch, dtype, kh, kw, cin, cout, h, w):
+    rng = np.random.default_rng([kh, kw, cin, cout, h, w, 1])
+    x, dz = (rng.standard_normal(shape).astype(dtype) for shape in [(h, w, cin), (h, w, cout)])
+    weights = rng.standard_normal((kh, kw, cin, cout)).astype(dtype)
+    bias = rng.standard_normal(cout).astype(dtype)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(cnn, "CONV_THREADS", threads)
+        z, xp = cnn._conv_forward(x, weights, bias)
+        runs.append([a.tobytes() for a in (z, xp, *cnn._conv_backward(xp, weights, dz))])
+    assert runs[0] == runs[1]
+
+
 def test_conv_follows_the_callers_numpy_error_state(conv_threads):
     # every row overflows, so both halves of a split see it
     x = np.full((4, 5, 1), 1e30, dtype=np.float32)
@@ -437,6 +458,7 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
     # more calling threads than cores, switching often, all handing halves
     # to the one worker: each must get exactly its own serial result
     monkeypatch.setattr(cnn, "CONV_THREADS", 2)
+    monkeypatch.setattr(cnn, "SPLIT_MACS", 0)
     rng = np.random.default_rng(35)
     cases = []
     for h in (5, 8, 11, 14):
@@ -481,6 +503,7 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
     # the parent's worker thread does not survive a fork; a child that
     # reused its executor would wait forever on the first split
     monkeypatch.setattr(cnn, "CONV_THREADS", 2)
+    monkeypatch.setattr(cnn, "SPLIT_MACS", 0)
     rng = np.random.default_rng(37)
     x, weights, bias = rng.standard_normal((6, 5, 2)), rng.standard_normal((3, 3, 2, 3)), np.zeros(3)
     want, _ = serial_conv_forward(x, weights, bias)
@@ -506,10 +529,26 @@ def test_training_bit_identical_inline_and_split(monkeypatch, dtype):
     model = make_model(32, channels=(2, 4, 8, 1), kernels=(3, 5, 2),
                        dropout_after=(1,), dtype=dtype)
     cfg = TrainConfig(batch_size=2, max_epochs=2, patience=10, rng_seed=3, lr=1e-2)
+    monkeypatch.setattr(cnn, "SPLIT_MACS", 0)
     runs = []
     for threads in (1, 2):
         monkeypatch.setattr(cnn, "CONV_THREADS", threads)
         trained, history = train(model, (x, y), (x[:2], y[:2]), cfg)
+        runs.append(([p.tobytes() for p in trained.parameters()], history))
+    assert runs[0] == runs[1]
+
+
+def test_training_on_50x50_images_does_not_depend_on_the_thread_count(monkeypatch):
+    # the default network at 50x50 has layers on both sides of the cut
+    rng = np.random.default_rng(50)
+    x = rng.choice([-1.0, 1.0], size=(4, 50, 50, 2))
+    y = rng.choice([-1.0, 1.0], size=(4, 50, 50))
+    model = make_model(5, dtype=np.float32)
+    cfg = TrainConfig(batch_size=2, max_epochs=2, patience=10, rng_seed=5, lr=1e-3)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(cnn, "CONV_THREADS", threads)
+        trained, history = train(model, (x[:3], y[:3]), (x[3:], y[3:]), cfg)
         runs.append(([p.tobytes() for p in trained.parameters()], history))
     assert runs[0] == runs[1]
 
@@ -520,16 +559,29 @@ if sys.argv[1] == "one-core":
     os.sched_setaffinity(os.getpid(), {min(os.sched_getaffinity(0))})
 import numpy as np
 from risopt import cnn
-cnn.model_forward(cnn.make_model(0, (2, 2), (3,), dropout_after=()), np.ones((4, 4, 2)))
+channels, kernels, h, w = json.loads(sys.argv[2])
+model = cnn.make_model(0, channels, kernels, dropout_after=())
+cnn.model_backward(model, np.ones((h, w, channels[0])), np.zeros((h, w, channels[-1])))
 print(json.dumps({"cores": len(os.sched_getaffinity(0)), "blas": cnn.BLAS_THREADS,
                   "conv": cnn.CONV_THREADS,
                   "worker": any(t.name.startswith("risopt-conv") for t in threading.enumerate())}))
 """
 
 
-def _decide_in_child(mode: str) -> dict:
-    """CONV_THREADS as a fresh interpreter decides it: ``pinned`` runs BLAS on
-    one thread, ``unpinned`` leaves BLAS at its default, ``one-core`` pins
+# (channels, kernels, H, W) of the model a child runs forward and backward
+_ABOVE_THE_CUT = ((32, 128), (5,), 40, 40)  # the default conv 4 at 40x40
+_BELOW_THE_CUT = (DEFAULT_CHANNELS, DEFAULT_KERNELS, 12, 10)  # the default network at 12x10
+
+
+def _layer_macs(spec) -> list:
+    channels, kernels, h, w = spec
+    return [h * w * k * k * cin * cout for k, cin, cout in zip(kernels, channels, channels[1:])]
+
+
+def _decide_in_child(mode: str, spec=_ABOVE_THE_CUT) -> dict:
+    """CONV_THREADS as a fresh interpreter decides it, and whether running
+    the ``spec`` model started the worker: ``pinned`` runs BLAS on one
+    thread, ``unpinned`` leaves BLAS at its default, ``one-core`` pins
     BLAS and limits the child to one core before numpy loads."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
@@ -537,7 +589,7 @@ def _decide_in_child(mode: str) -> dict:
         env["OPENBLAS_NUM_THREADS"] = "1"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _DECIDE, mode], env=env,
+    proc = subprocess.run([sys.executable, "-c", _DECIDE, mode, json.dumps(spec)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -551,9 +603,19 @@ needs_affinity = pytest.mark.skipif(
 def test_pinned_blas_with_an_idle_core_uses_the_worker():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one allowed core: no core is idle")
+    assert min(_layer_macs(_ABOVE_THE_CUT)) >= cnn.SPLIT_MACS
     child = _decide_in_child("pinned")
     assert child["blas"] == 1
     assert child["conv"] == 2 and child["worker"]
+
+
+@needs_affinity
+def test_pinned_blas_below_the_cut_never_starts_the_worker():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one allowed core: no core is idle")
+    assert max(_layer_macs(_BELOW_THE_CUT)) < cnn.SPLIT_MACS
+    child = _decide_in_child("pinned", _BELOW_THE_CUT)
+    assert child["conv"] == 2 and not child["worker"]
 
 
 @needs_affinity
