@@ -383,6 +383,7 @@ def cmd_optimize(args) -> int:
     if args.method == "cnn" and not args.weights:
         raise _UsageError("--method cnn requires --weights")
     geom, _, h = _surface(args)
+    out = _output(args.config_out or f"config_{args.method}.rist", "--config-out")
     ch = compute_channels(geom, h, RxSpec(args.rx_dist, args.el, args.az))
 
     if args.method == "im":
@@ -399,7 +400,6 @@ def cmd_optimize(args) -> int:
             image = stripe_image(h_states, v_states)
             cfg = predict_config(load_model(args.weights), image)
 
-    out = Path(args.config_out or f"config_{args.method}.rist")
     save_tensors(out, [cfg.states.astype(np.float32)])
     print(f"steps={steps}")
     print(f"objective_db={power_db(objective(ch, cfg))!r}")

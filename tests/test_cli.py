@@ -245,7 +245,7 @@ def test_optimize_im_step_count_and_config(pipeline, capsys):
 
 
 def test_optimize_gim_step_count(pipeline, capsys):
-    out = pipeline["root"] / "gim.rist"
+    out = pipeline["root"] / "new_dir" / "gim.rist"  # a missing parent is made
     code = main(["optimize", *BASE, "--method", "gim", "--el", "0", "--az", "80",
                  "--config-out", str(out)])
     assert code == 0
@@ -640,6 +640,7 @@ def test_out_of_range_split_index_is_runtime_error(pipeline, tmp_path, capsys, c
     ("train", "--weights-out", "file/sub/net.rist"),
     ("eval", "--report-out", "file/report.csv"),
     ("pattern", "--out", "file/pattern.csv"),
+    ("optimize", "--config-out", "file/config.rist"),
 ])
 def test_output_under_a_regular_file_fails_before_any_work(
         pipeline, tmp_path, capsys, command, flag, out):
@@ -654,6 +655,7 @@ def test_output_under_a_regular_file_fails_before_any_work(
         "eval": ["eval", "--data", str(pipeline["dataset"]),
                  "--weights", str(pipeline["weights"])],
         "pattern": ["pattern", *BASE, "--config", str(pipeline["config"]), "--step", "20"],
+        "optimize": ["optimize", *BASE, "--method", "gim", "--el", "0", "--az", "80"],
     }[command]
     assert main([*argv, flag, str(out)]) == 2
     captured = capsys.readouterr()

@@ -18,6 +18,7 @@ from risopt import cnn
 from risopt.cnn import (
     DEFAULT_CHANNELS,
     DEFAULT_KERNELS,
+    SIGN_MARGIN,
     AdamState,
     ConvLayer,
     Model,
@@ -824,6 +825,54 @@ def test_predict_config_zero_output_is_all_zero_state():
     np.testing.assert_array_equal(cfg.states, np.zeros((4, 4)))
 
 
+@pytest.fixture(scope="module")
+def stripe_outputs():
+    """Float32 default networks of three seeds on 40x40 random stripe images,
+    with each image's float32 output and the float64 output of the same
+    weights.  Images 1 of seed 1 and 8 of seed 2 have an output within
+    SIGN_MARGIN of zero, so both paths of predict_config run."""
+    cases = []
+    for seed in range(3):
+        model = make_model(seed, dtype=np.float32)
+        wide = model.copy(np.float64)
+        rng = np.random.default_rng(seed)
+        for _ in range(9):
+            image = stripe_image(rng.integers(0, 2, 40), rng.integers(0, 2, 40))
+            cases.append((model, image, model_forward(model, image),
+                          model_forward(wide, image)))
+    return cases
+
+
+def test_predict_config_decides_as_float64(stripe_outputs):
+    near_zero = [np.abs(out32).min() < SIGN_MARGIN for _, _, out32, _ in stripe_outputs]
+    assert 0 < sum(near_zero) < len(near_zero)  # the float64 re-run and the plain path
+    for model, image, _, out64 in stripe_outputs:
+        np.testing.assert_array_equal(predict_config(model, image).states,
+                                      pm1_to_states(out64))
+
+
+def test_float32_error_is_well_inside_the_sign_margin(stripe_outputs):
+    # SIGN_MARGIN rests on this gap: re-deciding only outputs within the
+    # margin is safe while float32 stays this close to float64
+    assert all(out32.dtype == np.float32 for _, _, out32, _ in stripe_outputs)
+    gap = max(np.abs(out32 - out64).max() for _, _, out32, out64 in stripe_outputs)
+    assert gap <= SIGN_MARGIN / 10
+
+
+def test_predict_config_re_decides_a_float32_sign_flip_in_float64():
+    # z = 1 + (-1 - 1e-8) on all-(+1) inputs: float32 rounds the tap sum
+    # to -1, so z is 0 (state 0); float64 gives -1e-8 (state 1)
+    w = np.zeros((3, 3, 2, 1), dtype=np.float32)
+    w[1, 1, :, 0] = [-1.0, -1e-8]
+    model = Model([ConvLayer(w, np.ones(1, dtype=np.float32))])
+    image = stripe_image(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+    np.testing.assert_array_equal(pm1_to_states(model_forward(model, image)), 0)
+    np.testing.assert_array_equal(
+        pm1_to_states(model_forward(model.copy(np.float64), image)), 1)
+    np.testing.assert_array_equal(predict_config(model, image).states, 1)
+    assert model.convs[0].weights.dtype == np.float32  # the caller's model is kept
+
+
 # ---------------------------------------------------------------- weights io
 
 def test_save_load_round_trip(tmp_path):
@@ -835,10 +884,10 @@ def test_save_load_round_trip(tmp_path):
     assert len(back.convs) == 3
     assert back.dropout_after == ()  # eval-only: the file holds no dropout
     for a, b in zip(model.convs, back.convs):
-        np.testing.assert_array_equal(
-            b.weights, a.weights.astype(np.float32).astype(float))
-        np.testing.assert_array_equal(
-            b.bias, a.bias.astype(np.float32).astype(float))
+        # the stored float32 records, not widened: inference runs in float32
+        assert b.weights.dtype == b.bias.dtype == np.float32
+        np.testing.assert_array_equal(b.weights, a.weights.astype(np.float32))
+        np.testing.assert_array_equal(b.bias, a.bias.astype(np.float32))
 
 
 def test_saved_weights_bytes_deterministic(tmp_path):
