@@ -37,7 +37,7 @@ from risopt.data import (
     load_manifest,
     load_splits,
 )
-from risopt.evaluate import evaluate_split, power_db
+from risopt.evaluate import evaluate_split
 from risopt.optimizers import combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
     PhaseConfig,
@@ -48,6 +48,7 @@ from risopt.physics import (
     compute_channels,
     compute_illumination,
     objective,
+    power_db,
     radiation_pattern,
 )
 from risopt.tensorfile import TensorFormatError, load_tensors, save_tensors
@@ -66,34 +67,28 @@ def _floats(n: int):
     return parse
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
+def _number(kind=float, low=None, strict: bool = False):
+    """argparse type: a ``kind`` (float or int) number, finite, and > ``low``
+    if ``strict``, else >= ``low``, when ``low`` is given."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            message = f"expected an integer, got {text!r}" if kind is int else str(exc)
+            raise argparse.ArgumentTypeError(message) from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if low is not None and (value <= low if strict else value < low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _frequency_ghz(text: str) -> float:
-    value = _positive(text)
+    value = _number(low=0, strict=True)(text)
     if not math.isfinite(value * 1e9):
         raise argparse.ArgumentTypeError(f"must be finite in Hz, got {text!r} GHz")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -111,24 +106,11 @@ def _angle(name: str):
     """argparse type: a receiver ``elevation_deg`` or ``azimuth_deg`` in the
     range ``RxSpec`` accepts."""
     def parse(text: str) -> float:
-        value = _finite(text)
+        value = _number()(text)
         try:
             _check_angles("rx", **{name: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    return parse
-
-
-def _int_from(low: int):
-    """argparse type: an integer >= ``low``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
         return value
     return parse
 
@@ -140,13 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     Every ``main`` call shares it: parsing only reads the parser and its
     immutable defaults, and returns a fresh namespace each time.
     """
+    positive = _number(low=0, strict=True)
     surface_flags = [  # (flag, argparse type or None for a switch, default, help)
-        ("--ris-m", _int_from(1), 40, "elements per row, the column count (default 40)"),
-        ("--ris-n", _int_from(1), 40, "elements per column, the row count (default 40)"),
+        ("--ris-m", _number(int, 1), 40, "elements per row, the column count (default 40)"),
+        ("--ris-n", _number(int, 1), 40, "elements per column, the row count (default 40)"),
         ("--freq-ghz", _frequency_ghz, 5.0, "carrier frequency in GHz (default 5)"),
-        ("--spacing", _positive, None, "element spacing in meters (default: half wavelength)"),
-        ("--tx-dist", _positive, 1.0, "boresight transmitter distance in meters (default 1)"),
-        ("--rx-dist", _positive, 10.0, "receiver distance in meters (default 10)"),
+        ("--spacing", positive, None, "element spacing in meters (default: half wavelength)"),
+        ("--tx-dist", positive, 1.0, "boresight transmitter distance in meters (default 1)"),
+        ("--rx-dist", positive, 10.0, "receiver distance in meters (default 10)"),
         ("--flat-tx-phase", None, False, "drop the per-element near-field transmit phase"),
     ]
 
@@ -161,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
                 shared.add_argument(flag, action="store_true", default=default, help=text)
             else:
                 shared.add_argument(flag, type=kind, default=default, help=text)
-        shared.add_argument("--seed", type=_int_from(0), default=0,
-                            help="seed for every random choice (default 0)")
         return shared
 
     shared, from_dataset = shared_parser(False), shared_parser(True)
+    # generate, train and eval make random choices; optimize and pattern make none
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_number(int, 0), default=0,
+                        help="seed for every random choice (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="risopt",
@@ -173,37 +158,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "CNN-assisted configuration prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[shared],
+    p = sub.add_parser("generate", parents=[shared, seeded],
                        help="sweep receiver angles and write a dataset directory")
     p.add_argument("--grid-az", type=_floats(2), default=(0.0, 180.0),
                    metavar="A,B", help="azimuth range in degrees (default 0,180)")
     p.add_argument("--grid-el", type=_floats(2), default=(-60.0, 60.0),
                    metavar="A,B", help="elevation range in degrees (default -60,60)")
-    p.add_argument("--grid-step", type=_positive, default=1.0,
+    p.add_argument("--grid-step", type=positive, default=1.0,
                    help="grid step in degrees (default 1)")
     p.add_argument("--split", type=_split, default=(0.6, 0.2, 0.2), metavar="TR,VA,TE",
                    help="split ratios, >= 0 and summing to 1 (default 0.6,0.2,0.2)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[from_dataset],
+    p = sub.add_parser("train", parents=[from_dataset, seeded],
                        help="train the prediction network on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--lr", type=_non_negative, default=1e-3,
+    p.add_argument("--lr", type=_number(low=0), default=1e-3,
                    help="ADAM learning rate, finite and >= 0 (default 1e-3)")
-    p.add_argument("--batch", type=_int_from(1), default=32)
-    p.add_argument("--max-epochs", type=_int_from(1), default=500)
-    p.add_argument("--patience", type=_int_from(1), default=10)
+    p.add_argument("--batch", type=_number(int, 1), default=32)
+    p.add_argument("--max-epochs", type=_number(int, 1), default=500)
+    p.add_argument("--patience", type=_number(int, 1), default=10)
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[from_dataset],
+    p = sub.add_parser("eval", parents=[from_dataset, seeded],
                        help="score IM vs G-IM vs CNN-G-IM on a dataset split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--weights", required=True, help="trained weights file")
     p.add_argument("--report-out", required=True, help="report CSV to write")
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
-    p.add_argument("--snr-db", type=_finite, default=None,
+    # from -6000 dB on, the noise scale 10**(-snr/20) is at most 1e300, not an overflow
+    p.add_argument("--snr-db", type=_number(low=-6000), default=None,
                    help="demo mode: score with seeded noisy link at this SNR")
     p.set_defaults(func=cmd_eval)
 
@@ -223,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export the radiation pattern of a saved config")
     p.add_argument("--config", required=True,
                    help="config tensor file of 0/1 element states")
-    p.add_argument("--step", type=_positive, default=1.0, help="grid step in degrees")
+    p.add_argument("--step", type=positive, default=1.0, help="grid step in degrees")
     p.add_argument("--out", required=True, help="pattern CSV to write")
     p.set_defaults(func=cmd_pattern)
     return parser
@@ -235,7 +221,8 @@ class _UsageError(Exception):
 
 def _surface(args) -> tuple:
     """Geometry, transmitter and Tx-side coefficients ``h`` the shared flags
-    describe; a surface whose illumination overflows is a usage error."""
+    describe; a surface whose illumination or Rx path loss overflows is a
+    usage error."""
     freq = args.freq_ghz * 1e9
     if args.spacing is None:
         geom = RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
@@ -246,6 +233,8 @@ def _surface(args) -> tuple:
         h = compute_illumination(geom, tx, flat_tx_phase=args.flat_tx_phase)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --freq-ghz, --spacing and --tx-dist") from None
+    if not math.isfinite(geom.wavelength / (4 * math.pi * args.rx_dist)):
+        raise _UsageError("the receiver path loss is not finite; check --rx-dist and --freq-ghz")
     return geom, tx, h
 
 

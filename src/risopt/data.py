@@ -33,7 +33,6 @@ from risopt.cnn import states_to_pm1, stripe_image
 from risopt.optimizers import batch_optimize, combine_stripes, gim_optimize, im_optimize
 from risopt.physics import (
     PHASE_TABLE,
-    ChannelMatrices,
     PhaseConfig,
     RisGeometry,
     RxSpec,
@@ -42,7 +41,6 @@ from risopt.physics import (
     compute_channels,
     compute_illumination,
     objective,
-    rx_channel,
 )
 from risopt.tensorfile import save_tensors
 
@@ -260,7 +258,7 @@ def _generate_chunk(geom, h, rxs) -> list:
     searches batched over the angles when there are enough of them."""
     if len(rxs) < MIN_BATCH:
         return [generate_sample(geom, h, rx) for rx in rxs]
-    chs = [ChannelMatrices(h, rx_channel(geom, rx)) for rx in rxs]
+    chs = [compute_channels(geom, h, rx) for rx in rxs]
     return [_sample(ch, rx, h_states, v_states, PhaseConfig(ref))
             for ch, rx, h_states, v_states, ref in zip(chs, rxs, *batch_optimize(chs))]
 

@@ -20,12 +20,12 @@ from risopt.cnn import Model, pm1_to_states, predict_config, stripe_states
 from risopt.data import _write_json, load_arrays, load_manifest, load_sample_rows, load_splits
 from risopt.optimizers import combine_stripes
 from risopt.physics import (
-    DB_FLOOR,
     PhaseConfig,
     RxSpec,
     compute_channels,
     compute_illumination,
     objective,
+    power_db,
     received_power_db,
     simulate_received_signal,
 )
@@ -34,15 +34,6 @@ CSV_COLUMNS = ("azimuth_deg", "elevation_deg", "p_im_db", "p_gim_db",
                "p_cnn_db", "gap_gim_db", "gap_cnn_db")
 
 BAND_ELEVATION_DEG = 45.0
-
-
-def power_db(magnitude: float) -> float:
-    """20*log10 of an objective value, floored for exact zeros."""
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
-    if magnitude == 0.0:
-        return DB_FLOOR
-    return float(20.0 * np.log10(magnitude))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,17 @@ PHASORS = np.exp(1j * np.deg2rad(np.asarray(PHASE_TABLE)))
 DB_FLOOR = -300.0  # assigned to exactly-zero magnitudes
 
 
+def power_db(magnitude):
+    """20*log10 of a magnitude >= 0, or of each entry of an array of them,
+    with exact zeros at ``DB_FLOOR``: a scalar gives a float, an array an
+    array."""
+    mag = np.asarray(magnitude, dtype=float)
+    if (mag < 0).any():
+        raise ValueError("magnitude must be >= 0")
+    db = np.where(mag == 0, DB_FLOOR, 20 * np.log10(np.where(mag == 0, 1.0, mag)))
+    return float(db) if db.ndim == 0 else db
+
+
 class DegeneratePowerError(ValueError):
     """Raised when a power estimate would take log of zero."""
 
@@ -303,10 +314,7 @@ def radiation_pattern(
     cos_t = np.cos(np.deg2rad(elevations))[:, np.newaxis]
     field = field.reshape(elevations.size, azimuths.size) * cos_t
 
-    mag = np.abs(field)
-    with np.errstate(divide="ignore"):
-        power_db = np.where(mag > 0, 20 * np.log10(np.where(mag > 0, mag, 1.0)), DB_FLOOR)
-    return PatternGrid(elevations, azimuths, field, power_db)
+    return PatternGrid(elevations, azimuths, field, power_db(np.abs(field)))
 
 
 def cascade_gain(ch: ChannelMatrices, cfg: PhaseConfig) -> complex:

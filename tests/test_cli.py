@@ -511,6 +511,7 @@ _BAD_FLAGS = {
     ("eval", "--snr-db", "nan", "must be finite"),
     ("eval", "--snr-db", "-inf", "must be finite"),
     ("eval", "--snr-db", "inf", "must be finite"),
+    ("eval", "--snr-db", "-1e308", "must be >= -6000"),
     ("generate", "--split", "-0.2,0.6,0.6", "ratios must be finite and >= 0"),
     ("generate", "--split", "nan,0.5,0.5", "ratios must be finite and >= 0"),
     ("generate", "--split", "0.5,0.5,inf", "ratios must be finite and >= 0"),
@@ -537,6 +538,28 @@ def test_phase_states_is_an_unrecognized_argument(tmp_path, capsys, command):
         main([*argv, "--phase-states", "2"])
     assert err.value.code == 2
     assert "unrecognized arguments: --phase-states 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["optimize", "pattern"])
+def test_seed_is_an_unrecognized_argument_where_nothing_is_random(tmp_path, capsys, command):
+    # optimize and pattern make no random choice, so a seed there would be ignored
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "pattern"])
+def test_non_finite_rx_path_loss_is_usage_error(tmp_path, capsys, command):
+    # 1e-320 m passes the flag's own check, but wavelength / (4 pi d) overflows
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    assert main([*argv, "--rx-dist=1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the receiver path loss is not finite; "
+                   "check --rx-dist and --freq-ghz\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,13 @@
-"""The demo scripts, and the README's library example, run to completion
-against the package in ``src``."""
+"""The demo scripts, and the README's library example and small CLI run,
+run to completion against the package in ``src``."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from risopt.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -38,3 +41,19 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     values = [float(v) for v in capsys.readouterr().out.split()]
     assert len(values) == 2 and all(v > 0 for v in values)
+
+
+def test_readme_small_run_runs(tmp_path, monkeypatch, capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Reproducing the paper\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["risopt", "generate"], ["risopt", "train"], ["risopt", "eval"]]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "samples=247 train=149 val=49 test=49"
+    assert [line.split(" ")[0] for line in out if line.startswith(("gim:", "cnn:"))] == [
+        "gim:", "cnn:"]

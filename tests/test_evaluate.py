@@ -18,7 +18,6 @@ from risopt.evaluate import (
     CSV_COLUMNS,
     _summarize,
     evaluate_split,
-    power_db,
 )
 from risopt.optimizers import combine_stripes
 from risopt.physics import (
@@ -30,6 +29,7 @@ from risopt.physics import (
     compute_channels,
     compute_illumination,
     objective,
+    power_db,
 )
 from risopt.tensorfile import save_tensors
 

@@ -328,6 +328,20 @@ def test_pattern_zero_field_floor():
     assert pat.power_db[0, 0] == -300.0
 
 
+def test_power_db_maps_scalars_to_floats_and_arrays_entrywise():
+    mags = np.abs(np.random.default_rng(5).standard_normal((3, 7))) * 1e-4
+    mags[1, 2] = 0.0
+    db = physics.power_db(mags)
+    assert db.shape == mags.shape
+    assert db[1, 2] == physics.DB_FLOOR
+    # each entry has the bytes of the scalar call
+    assert [physics.power_db(float(m)) for m in mags.ravel()] == db.ravel().tolist()
+    assert type(physics.power_db(np.float64(0.5))) is float
+    assert physics.power_db(0.0) == physics.DB_FLOOR
+    with pytest.raises(ValueError, match="magnitude must be >= 0"):
+        physics.power_db(np.array([1.0, -1e-300]))
+
+
 def test_pattern_rejects_empty_grid():
     geom = RisGeometry.half_wavelength(3, 3, 5e9)
     h = compute_illumination(geom, TxSpec(1.0))
