@@ -14,7 +14,7 @@ Run:  python3 demos/optimizer_comparison.py
 import numpy as np
 
 from risopt import RisGeometry, RxSpec, TxSpec, compute_channels, compute_illumination, objective
-from risopt.evaluate import power_db
+from risopt.physics import power_db
 from risopt.optimizers import (
     combine_stripes,
     exhaustive_optimize,

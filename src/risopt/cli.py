@@ -29,6 +29,7 @@ from risopt.cnn import (
     train,
 )
 from risopt.data import (
+    DEFAULT_SPLIT,
     SPLIT_NAMES,
     AngularGrid,
     _write_json,
@@ -158,27 +159,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "CNN-assisted configuration prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    grid = AngularGrid()
+    az, el = (grid.azimuth_start, grid.azimuth_stop), (grid.elevation_start, grid.elevation_stop)
     p = sub.add_parser("generate", parents=[shared, seeded],
                        help="sweep receiver angles and write a dataset directory")
-    p.add_argument("--grid-az", type=_floats(2), default=(0.0, 180.0),
-                   metavar="A,B", help="azimuth range in degrees (default 0,180)")
-    p.add_argument("--grid-el", type=_floats(2), default=(-60.0, 60.0),
-                   metavar="A,B", help="elevation range in degrees (default -60,60)")
-    p.add_argument("--grid-step", type=positive, default=1.0,
-                   help="grid step in degrees (default 1)")
-    p.add_argument("--split", type=_split, default=(0.6, 0.2, 0.2), metavar="TR,VA,TE",
-                   help="split ratios, >= 0 and summing to 1 (default 0.6,0.2,0.2)")
+    p.add_argument("--grid-az", type=_floats(2), default=az, metavar="A,B",
+                   help="azimuth range in degrees (default %g,%g)" % az)
+    p.add_argument("--grid-el", type=_floats(2), default=el, metavar="A,B",
+                   help="elevation range in degrees (default %g,%g)" % el)
+    p.add_argument("--grid-step", type=positive, default=grid.step_deg,
+                   help="grid step in degrees (default %(default)g)")
+    p.add_argument("--split", type=_split, default=DEFAULT_SPLIT, metavar="TR,VA,TE",
+                   help="split ratios, >= 0 and summing to 1 (default %g,%g,%g)" % DEFAULT_SPLIT)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", parents=[from_dataset, seeded],
                        help="train the prediction network on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--lr", type=_number(low=0), default=1e-3,
-                   help="ADAM learning rate, finite and >= 0 (default 1e-3)")
-    p.add_argument("--batch", type=_number(int, 1), default=32)
-    p.add_argument("--max-epochs", type=_number(int, 1), default=500)
-    p.add_argument("--patience", type=_number(int, 1), default=10)
+    fit = TrainConfig()
+    p.add_argument("--lr", type=_number(low=0), default=fit.lr,
+                   help="ADAM learning rate, finite and >= 0 (default %(default)g)")
+    p.add_argument("--batch", type=_number(int, 1), default=fit.batch_size,
+                   help="samples per ADAM step (default %(default)s)")
+    p.add_argument("--max-epochs", type=_number(int, 1), default=fit.max_epochs,
+                   help="most epochs to run (default %(default)s)")
+    p.add_argument("--patience", type=_number(int, 1), default=fit.patience,
+                   help="epochs with no new best val loss before stopping (default %(default)s)")
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
@@ -307,7 +314,7 @@ def cmd_train(args) -> int:
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
     inputs, targets = load_arrays(args.data)
-    model = make_model(args.seed, dtype=np.float32)
+    model = make_model(args.seed)
 
     def progress(epoch, train_loss, val_loss):
         _stderr(f"epoch {epoch}/{cfg.max_epochs} train_loss={train_loss:.6g} "

@@ -8,11 +8,10 @@ architecture: channel chain 2 -> 4 -> 16 -> 32 -> 128 -> 64 -> 8 -> 4
 a bias and tanh on every conv layer, and rate-0.2 inverted dropout after
 the third and sixth conv layers.
 
-Every pass runs in the dtype of the model's parameters.  ``make_model``
-defaults to float64, so gradients can be checked against central finite
-differences.  ``risopt train`` builds a float32 model, and ``load_model``
-keeps the stored float32, so ``eval`` and ``optimize --method cnn`` infer
-in float32; ``predict_config`` re-decides near-zero outputs in float64.
+Every pass runs in the dtype of the model's parameters: float32 from
+``make_model`` (finite-difference checks pass ``dtype=np.float64``) and
+from ``load_model``, so ``train``, ``eval`` and ``optimize --method cnn``
+run in float32; ``predict_config`` re-decides near-zero outputs in float64.
 Tensors are (height, width, channels), kernels (kh, kw, in_channels,
 out_channels).  No autograd: the backward pass is written out by hand.
 
@@ -39,6 +38,7 @@ thread count cannot be read, everything runs inline.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import os
@@ -108,16 +108,6 @@ class Model:
     def parameters(self) -> list:
         return [p for layer in self.convs for p in (layer.weights, layer.bias)]
 
-    def set_parameters(self, params) -> None:
-        if len(params) != 2 * len(self.convs):
-            raise ValueError("parameter list length mismatch")
-        for i, layer in enumerate(self.convs):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-                raise ValueError("parameter shape mismatch")
-            layer.weights = w
-            layer.bias = b
-
     def copy(self, dtype=None) -> "Model":
         """A deep copy, with parameters cast to ``dtype`` if given."""
         return Model([ConvLayer(np.array(l.weights, dtype), np.array(l.bias, dtype))
@@ -131,13 +121,13 @@ def make_model(
     kernels=DEFAULT_KERNELS,
     dropout_after=DEFAULT_DROPOUT_AFTER,
     dropout_rate: float = DEFAULT_DROPOUT_RATE,
-    dtype=np.float64,
+    dtype=np.float32,
 ) -> Model:
     """Build a model with uniform Glorot weights and zero biases.
 
-    Every forward/backward pass runs in ``dtype``; float64 is the
-    default so finite-difference gradient checks stay meaningful, while
-    float32 trains a 40x40 image in under half the time.
+    Every forward/backward pass runs in ``dtype``; float64 (for
+    finite-difference gradient checks) takes about twice as long.  The
+    weights are drawn in float64, so both dtypes save the same bytes.
     """
     if len(channels) != len(kernels) + 1:
         raise ValueError("need one more channel count than kernel sizes")
@@ -200,19 +190,13 @@ if hasattr(os, "register_at_fork"):
 
 
 def _on_two_threads(here, there, macs: int) -> None:
-    """Run ``there`` on the conv worker thread, under this thread's numpy
-    error state, while ``here`` runs on this one; with no idle core, or
-    below ``SPLIT_MACS`` multiply-accumulates, run both here in turn."""
+    """Run ``there`` on the conv worker thread, in this thread's context
+    (numpy's error state), while ``here`` runs on this one; with no idle
+    core, or below ``SPLIT_MACS`` multiply-accumulates, run both here."""
     if CONV_THREADS == 1 or macs < SPLIT_MACS:
         here()
         return there()
-    state = {"call": np.geterrcall(), **np.geterr()}
-
-    def run():
-        with np.errstate(**state):
-            there()
-
-    pending = _worker().submit(run)
+    pending = _worker().submit(contextvars.copy_context().run, there)
     try:
         here()
     finally:
@@ -284,16 +268,20 @@ def _forward_pass(model: Model, x: np.ndarray, mode: str, rng):
     return a, caches
 
 
+def _check_shape(model: Model, shape: tuple) -> None:
+    """Reject an image shape other than (H >= kernel, W >= kernel, in_channels)."""
+    if len(shape) != 3 or shape[2] != model.in_channels:
+        raise ValueError(f"input must be (H, W, {model.in_channels}), got {shape}")
+    if min(shape[0], shape[1]) < model.min_spatial:
+        raise ValueError("input smaller than the largest kernel")
+
+
 def _check_input(model: Model, x: np.ndarray, mode: str) -> np.ndarray:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     # follow the parameter dtype so float32 models run fully in float32
     x = np.asarray(x, dtype=model.convs[0].weights.dtype)
-    if x.ndim != 3 or x.shape[2] != model.in_channels:
-        raise ValueError(
-            f"input must be (H, W, {model.in_channels}), got {x.shape}")
-    if min(x.shape[0], x.shape[1]) < model.min_spatial:
-        raise ValueError("input smaller than the largest kernel")
+    _check_shape(model, x.shape)
     return x
 
 
@@ -403,14 +391,14 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
-def _as_dataset(name, data, dtype):
-    inputs, targets = data
-    inputs = np.asarray(inputs, dtype=dtype)
-    targets = np.asarray(targets, dtype=dtype)
+def _as_dataset(name, data, model: Model):
+    """A set's (inputs, targets) in the model's dtype, checked for the model."""
+    inputs, targets = (np.asarray(a, dtype=model.convs[0].weights.dtype) for a in data)
     if len(inputs) == 0:
         raise ValueError(f"{name} set is empty")
-    if inputs.ndim != 4 or targets.ndim != 3 or len(inputs) != len(targets):
+    if targets.shape != inputs.shape[:3]:
         raise ValueError(f"{name} set must be (N, H, W, C) inputs with (N, H, W) targets")
+    _check_shape(model, inputs.shape[1:])
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError(f"{name} set holds NaN or infinite values")
     return inputs, targets
@@ -429,11 +417,11 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
     Returns ``(trained model, history)`` where history rows are
     ``(epoch, train_loss, val_loss)`` with 1-based epoch numbers.  The
     input model is not modified.  ``progress``, if given, is called with
-    each history row as soon as its epoch ends.
+    each history row as soon as its epoch ends.  Both sets are checked
+    before the first step, with the shape rule of :func:`model_forward`.
     """
-    dtype = model.convs[0].weights.dtype
-    train_x, train_y = _as_dataset("train", train_set, dtype)
-    val_x, val_y = _as_dataset("val", val_set, dtype)
+    train_x, train_y = _as_dataset("train", train_set, model)
+    val_x, val_y = _as_dataset("val", val_set, model)
 
     model = model.copy()
     state = AdamState.init(model.parameters(), lr=cfg.lr)
@@ -464,7 +452,8 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
             scale = 1.0 / len(batch)
             batch_grads = [g * scale for g in batch_grads]
             new_params, state = adam_step(state, model.parameters(), batch_grads)
-            model.set_parameters(new_params)
+            for layer, w, b in zip(model.convs, new_params[::2], new_params[1::2]):
+                layer.weights, layer.bias = w, b
 
         train_loss = loss_sum / len(order)
         val_loss = np.mean([

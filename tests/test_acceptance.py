@@ -228,7 +228,7 @@ def test_network_numerics(capsys):
 
     # central-difference gradient check on a reduced float64 network
     rng = np.random.default_rng(9)
-    model = make_model(9, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(9, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
     analytic = model_backward(model, x, target, mode="eval")
@@ -268,7 +268,7 @@ def test_network_numerics(capsys):
     x8 = data_rng.choice([-1.0, 1.0], size=(8, 8, 8, 2))
     y8 = data_rng.choice([-1.0, 1.0], size=(8, 8, 8))
     overfit_model = make_model(3, channels=(2, 8, 16, 8, 1),
-                               kernels=(3, 3, 3, 3), dropout_after=())
+                               kernels=(3, 3, 3, 3), dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(batch_size=1, max_epochs=300, patience=300,
                       rng_seed=0, lr=1e-2)
     trained, history = train(overfit_model, (x8, y8), (x8, y8), cfg)

@@ -124,7 +124,7 @@ def test_conv_shape_validation():
 # ---------------------------------------------------------------- model/forward
 
 def test_default_architecture():
-    model = make_model(0)
+    model = make_model(0, dtype=np.float64)
     convs = model.convs
     assert len(convs) == 8
     chain = [convs[0].weights.shape[2]] + [c.weights.shape[3] for c in convs]
@@ -136,7 +136,7 @@ def test_default_architecture():
 
 
 def test_glorot_init_bounds_and_zero_bias():
-    model = make_model(5, channels=(2, 4, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(5, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     for layer in model.convs:
         kh, kw, cin, cout = layer.weights.shape
         limit = np.sqrt(6.0 / (kh * kw * cin + kh * kw * cout))
@@ -146,7 +146,7 @@ def test_glorot_init_bounds_and_zero_bias():
 
 
 def test_zero_weight_model_outputs_zero():
-    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     for p in model.parameters():
         p[...] = 0.0
     out = model_forward(model, np.ones((6, 6, 2)))
@@ -156,7 +156,7 @@ def test_zero_weight_model_outputs_zero():
 def test_eval_forward_deterministic_and_bounded():
     rng = np.random.default_rng(9)
     model = make_model(2, channels=(2, 4, 4, 1), kernels=(3, 3, 3),
-                       dropout_after=(1,))
+                       dropout_after=(1,), dtype=np.float64)
     x = rng.standard_normal((7, 7, 2))
     a = model_forward(model, x, "eval")
     b = model_forward(model, x, "eval", rng_seed=999)  # seed irrelevant in eval
@@ -168,7 +168,7 @@ def test_eval_forward_deterministic_and_bounded():
 def test_forward_matches_naive_layer_stack():
     rng = np.random.default_rng(10)
     model = make_model(11, channels=(2, 4, 8, 4, 1), kernels=(3, 5, 3, 3),
-                       dropout_after=(2,))
+                       dropout_after=(2,), dtype=np.float64)
     x = rng.standard_normal((8, 8, 2))
     got = model_forward(model, x, "eval")
     want = naive_forward_eval(model, x)
@@ -176,7 +176,7 @@ def test_forward_matches_naive_layer_stack():
 
 
 def test_forward_input_validation():
-    model = make_model(0, channels=(2, 3, 1), kernels=(3, 5), dropout_after=())
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 5), dropout_after=(), dtype=np.float64)
     with pytest.raises(ValueError):
         model_forward(model, np.zeros((6, 6, 3)))  # wrong channel count
     with pytest.raises(ValueError):
@@ -226,7 +226,7 @@ def test_mse_shape_mismatch():
 def worst_fd_error(kernels):
     """Worst relative error of the analytic gradients of a 2-layer model."""
     rng = np.random.default_rng(14)
-    model = make_model(15, channels=(2, 3, 1), kernels=kernels, dropout_after=())
+    model = make_model(15, channels=(2, 3, 1), kernels=kernels, dropout_after=(), dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
     analytic = model_backward(model, x, target, mode="eval")
@@ -255,7 +255,7 @@ def test_gradients_with_dropout_match_masked_finite_differences():
     # deterministic function we can difference numerically.
     rng = np.random.default_rng(16)
     model = make_model(17, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
-                       dropout_rate=0.5)
+                       dropout_rate=0.5, dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
     seed = 3
@@ -285,7 +285,7 @@ def test_gradients_with_dropout_match_masked_finite_differences():
 
 
 def test_zero_everything_gives_zero_gradients():
-    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     for p in model.parameters():
         p[...] = 0.0
     grads = model_backward(model, np.zeros((6, 6, 2)), np.zeros((6, 6)))
@@ -295,7 +295,8 @@ def test_zero_everything_gives_zero_gradients():
 
 def test_backward_seed_determinism():
     rng = np.random.default_rng(18)
-    model = make_model(19, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,))
+    model = make_model(19, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
+                       dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     t = rng.standard_normal((6, 6))
     g1 = model_backward(model, x, t, mode="train", rng_seed=42)
@@ -309,7 +310,8 @@ def test_backward_seed_determinism():
 # ---------------------------------------------------------------- dropout
 
 def test_train_mode_dropout_varies_with_seed():
-    model = make_model(20, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,))
+    model = make_model(20, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
+                       dtype=np.float64)
     x = np.ones((6, 6, 2))
     a = model_forward(model, x, "train", rng_seed=0)
     b = model_forward(model, x, "train", rng_seed=0)
@@ -561,7 +563,7 @@ if sys.argv[1] == "one-core":
 import numpy as np
 from risopt import cnn
 channels, kernels, h, w = json.loads(sys.argv[2])
-model = cnn.make_model(0, channels, kernels, dropout_after=())
+model = cnn.make_model(0, channels, kernels, dropout_after=(), dtype=np.float64)
 cnn.model_backward(model, np.ones((h, w, channels[0])), np.zeros((h, w, channels[-1])))
 print(json.dumps({"cores": len(os.sched_getaffinity(0)), "blas": cnn.BLAS_THREADS,
                   "conv": cnn.CONV_THREADS,
@@ -647,7 +649,7 @@ def test_constant_val_loss_stops_after_patience():
     # first epoch sets the running minimum and patience counts from there.
     rng = np.random.default_rng(23)
     x, y = _toy_data(rng)
-    model = make_model(24, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(24, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(batch_size=2, max_epochs=100, patience=3, rng_seed=0, lr=0.0)
     _, history = train(model, (x, y), (x, y), cfg)
     assert len(history) == 4  # patience + 1
@@ -658,7 +660,7 @@ def test_constant_val_loss_stops_after_patience():
 def test_max_epochs_bound_and_history_rows():
     rng = np.random.default_rng(25)
     x, y = _toy_data(rng)
-    model = make_model(26, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(26, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(batch_size=3, max_epochs=1, patience=10, rng_seed=0, lr=1e-3)
     _, history = train(model, (x, y), (x, y), cfg)
     assert len(history) == 1
@@ -669,7 +671,8 @@ def test_max_epochs_bound_and_history_rows():
 def test_training_is_bit_reproducible():
     rng = np.random.default_rng(27)
     x, y = _toy_data(rng)
-    model = make_model(28, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,))
+    model = make_model(28, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
+                       dtype=np.float64)
     cfg = TrainConfig(batch_size=2, max_epochs=5, patience=10, rng_seed=77, lr=1e-3)
     m1, h1 = train(model, (x, y), (x, y), cfg)
     m2, h2 = train(model, (x, y), (x, y), cfg)
@@ -685,7 +688,7 @@ def test_training_reduces_loss():
     rng = np.random.default_rng(29)
     x = rng.choice([-1.0, 1.0], size=(12, 6, 6, 2))
     y = x[:, :, :, 0] * x[:, :, :, 1]  # learnable local rule
-    model = make_model(30, channels=(2, 6, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(30, channels=(2, 6, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(batch_size=4, max_epochs=60, patience=60, rng_seed=1, lr=1e-2)
     trained, history = train(model, (x, y), (x, y), cfg)
     assert history[-1][2] < history[0][2] * 0.5
@@ -697,7 +700,7 @@ def test_overfit_eight_samples():
     x = rng.choice([-1.0, 1.0], size=(8, 8, 8, 2))
     y = rng.choice([-1.0, 1.0], size=(8, 8, 8))
     model = make_model(3, channels=(2, 8, 16, 8, 1), kernels=(3, 3, 3, 3),
-                       dropout_after=())
+                       dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(batch_size=1, max_epochs=300, patience=300, rng_seed=0, lr=1e-2)
     trained, history = train(model, (x, y), (x, y), cfg)
     final = np.mean([mse_loss(model_forward(trained, x[i]), y[i]) for i in range(8)])
@@ -707,7 +710,7 @@ def test_overfit_eight_samples():
 def test_train_progress_gets_each_history_row_as_its_epoch_ends():
     rng = np.random.default_rng(33)
     x, y = _toy_data(rng)
-    model = make_model(34, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(34, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     rows = []
 
     def progress(*row):
@@ -720,7 +723,7 @@ def test_train_progress_gets_each_history_row_as_its_epoch_ends():
 
 
 def test_train_rejects_empty_sets():
-    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     cfg = TrainConfig(max_epochs=1)
     with pytest.raises(ValueError):
         train(model, (np.zeros((0, 6, 6, 2)), np.zeros((0, 6, 6))),
@@ -729,13 +732,41 @@ def test_train_rejects_empty_sets():
 
 @pytest.mark.parametrize("bad", ["train_x", "train_y", "val_x", "val_y"])
 def test_train_rejects_non_finite_data(bad):
-    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=())
+    model = make_model(0, channels=(2, 3, 1), kernels=(3, 3), dropout_after=(), dtype=np.float64)
     arrays = {"train_x": np.zeros((2, 6, 6, 2)), "train_y": np.zeros((2, 6, 6)),
               "val_x": np.zeros((1, 6, 6, 2)), "val_y": np.zeros((1, 6, 6))}
     arrays[bad][-1, 2, 3] = np.nan if bad.endswith("x") else np.inf
     with pytest.raises(ValueError, match="NaN or infinite"):
         train(model, (arrays["train_x"], arrays["train_y"]),
               (arrays["val_x"], arrays["val_y"]), TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("bad", ["train", "val"])
+@pytest.mark.parametrize("x_shape, y_shape, message", [
+    ((3, 4, 4, 2), (3, 4, 4), "smaller than the largest kernel"),  # the default 5x5 kernels
+    ((3, 8, 8, 3), (3, 8, 8), r"input must be \(H, W, 2\)"),
+    ((3, 8, 8, 2), (3, 6, 6), "set must be"),
+], ids=["too-small", "channels", "targets"])
+def test_train_rejects_a_set_the_network_cannot_take_before_the_first_step(
+        monkeypatch, bad, x_shape, y_shape, message):
+    calls = []
+
+    def spy(name):
+        real = getattr(cnn, name)
+
+        def called(*args):
+            calls.append(name)
+            return real(*args)
+        return called
+
+    for name in ("_loss_and_grads", "adam_step"):
+        monkeypatch.setattr(cnn, name, spy(name))
+    sets = {"train": (np.ones((3, 8, 8, 2)), np.ones((3, 8, 8))),
+            "val": (np.ones((1, 8, 8, 2)), np.ones((1, 8, 8)))}
+    sets[bad] = (np.ones(x_shape), np.ones(y_shape))
+    with pytest.raises(ValueError, match=message):
+        train(make_model(0), sets["train"], sets["val"], TrainConfig(max_epochs=1))
+    assert calls == []
 
 
 def test_train_stops_on_non_finite_loss():
@@ -877,7 +908,7 @@ def test_predict_config_re_decides_a_float32_sign_flip_in_float64():
 
 def test_save_load_round_trip(tmp_path):
     model = make_model(33, channels=(2, 4, 4, 1), kernels=(3, 3, 3),
-                       dropout_after=(2,))
+                       dropout_after=(2,), dtype=np.float64)
     path = tmp_path / "w.rist"
     save_model(path, model)
     back = load_model(path)
@@ -891,11 +922,21 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_saved_weights_bytes_deterministic(tmp_path):
-    model = make_model(34)
+    model = make_model(34, dtype=np.float64)
     p1, p2 = tmp_path / "a.rist", tmp_path / "b.rist"
     save_model(p1, model)
     save_model(p2, model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_make_model_defaults_to_float32_and_saves_the_float64_bytes(tmp_path, seed):
+    # both draw the weights in float64 and round them to float32 once
+    model = make_model(seed)
+    assert all(p.dtype == np.float32 for p in model.parameters())
+    save_model(tmp_path / "32.rist", model)
+    save_model(tmp_path / "64.rist", make_model(seed, dtype=np.float64))
+    assert (tmp_path / "32.rist").read_bytes() == (tmp_path / "64.rist").read_bytes()
 
 
 def test_load_model_rejects_odd_record_count(tmp_path):
@@ -927,7 +968,7 @@ def test_float32_and_float64_training_losses_agree():
     y = rng.choice([-1.0, 1.0], size=(4, 8, 8))
     cfg = TrainConfig(batch_size=2, max_epochs=2)
     _, h64 = train(make_model(1, channels=(2, 4, 1), kernels=(3, 3),
-                              dropout_after=()), (x, y), (x, y), cfg)
+                              dropout_after=(), dtype=np.float64), (x, y), (x, y), cfg)
     _, h32 = train(make_model(1, channels=(2, 4, 1), kernels=(3, 3),
                               dropout_after=(), dtype=np.float32),
                    (x, y), (x, y), cfg)
