@@ -52,7 +52,7 @@ from risopt.physics import (
     power_db,
     radiation_pattern,
 )
-from risopt.tensorfile import TensorFormatError, load_tensors, save_tensors
+from risopt.tensorfile import load_tensors, save_tensors
 
 
 def _floats(n: int):
@@ -148,9 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         return shared
 
     shared, from_dataset = shared_parser(False), shared_parser(True)
-    # generate, train and eval make random choices; optimize and pattern make none
+    # generate and train make random choices; eval only with --snr-db, and
+    # optimize and pattern make none
+    seed = _number(int, 0)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_number(int, 0), default=0,
+    seeded.add_argument("--seed", type=seed, default=0,
                         help="seed for every random choice (default 0)")
 
     parser = argparse.ArgumentParser(
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", required=True, help="weights file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[from_dataset, seeded],
+    p = sub.add_parser("eval", parents=[from_dataset],
                        help="score IM vs G-IM vs CNN-G-IM on a dataset split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--weights", required=True, help="trained weights file")
@@ -198,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     # from -6000 dB on, the noise scale 10**(-snr/20) is at most 1e300, not an overflow
     p.add_argument("--snr-db", type=_number(low=-6000), default=None,
                    help="demo mode: score with seeded noisy link at this SNR")
+    p.add_argument("--seed", type=seed, default=None,
+                   help="seed of the --snr-db noisy link (default 0)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("optimize", parents=[shared],
@@ -356,11 +360,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seed is not None and args.snr_db is None:
+        raise _UsageError("--seed seeds only the noisy link of --snr-db; give --snr-db too")
     _check_dataset_flags(args)
     report_out = _output(args.report_out, "--report-out")
     model = load_model(args.weights)
     report = evaluate_split(args.data, model, args.split,
-                            noise_snr_db=args.snr_db, noise_seed=args.seed)
+                            noise_snr_db=args.snr_db, noise_seed=args.seed or 0)
     report.to_csv(report_out)
     summary_path = report_out.parent / (report_out.stem + "_summary.json")
     report.save_summary(summary_path)
@@ -443,7 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, OSError, TensorFormatError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 

@@ -117,24 +117,6 @@ class AngularGrid:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One receiver direction with its stripe and reference solutions."""
-
-    h_states: np.ndarray  # one state per row
-    v_states: np.ndarray  # one state per column
-    ref_cfg: PhaseConfig
-    elevation_deg: float
-    azimuth_deg: float
-    objective_im: float
-    objective_gim: float
-
-    def __post_init__(self):
-        n_rows, m_cols = self.ref_cfg.shape
-        if len(self.h_states) != n_rows or len(self.v_states) != m_cols:
-            raise ValueError("stripe lengths do not match the reference config")
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
     """Dataset metadata.  Every dataset uses the 0/180 table, the only one
     the package has; the file still names it."""
@@ -222,35 +204,23 @@ def split_dataset(count: int, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
     }
 
 
-def encode_sample(sample: Sample):
-    """Sample to network tensors: (H, W, 2) stripe input, (H, W) target.
-
-    State 0 maps to +1 and state 1 to -1 in every channel.
+def encode_sample(h_states, v_states, ref_states):
+    """Stripe and reference states to network tensors: (H, W, 2) stripe
+    input, (H, W) target.  State 0 maps to +1 and state 1 to -1 in every
+    channel.
     """
-    x = stripe_image(sample.h_states, sample.v_states)
-    return x, states_to_pm1(sample.ref_cfg.states)
+    return stripe_image(h_states, v_states), states_to_pm1(ref_states)
 
 
-def _sample(ch, rx: RxSpec, h_states, v_states, ref_cfg: PhaseConfig) -> Sample:
-    return Sample(
-        h_states=h_states,
-        v_states=v_states,
-        ref_cfg=ref_cfg,
-        elevation_deg=rx.elevation_deg,
-        azimuth_deg=rx.azimuth_deg,
-        objective_im=objective(ch, ref_cfg),
-        objective_gim=objective(ch, combine_stripes(h_states, v_states)),
-    )
-
-
-def generate_sample(geom, h, rx: RxSpec) -> Sample:
+def generate_sample(geom, h, rx: RxSpec):
     """Run both stripe searches and the element-wise reference at one angle,
-    on the Tx side ``h`` of ``compute_illumination``."""
+    on the Tx side ``h`` of ``compute_illumination``: ``(channels, row
+    states, column states, reference states)``."""
     ch = compute_channels(geom, h, rx)
     h_states, _ = gim_optimize(ch, orientation="horizontal")
     v_states, _ = gim_optimize(ch, orientation="vertical")
     ref_cfg, _ = im_optimize(ch)
-    return _sample(ch, rx, h_states, v_states, ref_cfg)
+    return ch, h_states, v_states, ref_cfg.states
 
 
 def _generate_chunk(geom, h, rxs) -> list:
@@ -259,8 +229,7 @@ def _generate_chunk(geom, h, rxs) -> list:
     if len(rxs) < MIN_BATCH:
         return [generate_sample(geom, h, rx) for rx in rxs]
     chs = [compute_channels(geom, h, rx) for rx in rxs]
-    return [_sample(ch, rx, h_states, v_states, PhaseConfig(ref))
-            for ch, rx, h_states, v_states, ref in zip(chs, rxs, *batch_optimize(chs))]
+    return list(zip(chs, *batch_optimize(chs)))
 
 
 def generate_dataset(
@@ -290,14 +259,14 @@ def generate_dataset(
     rows = []
     points = grid.points()
     while chunk := [RxSpec(rx_distance, el, az) for az, el in islice(points, BATCH_ANGLES)]:
-        for sample in _generate_chunk(geom, h, chunk):
+        for rx, (ch, h_states, v_states, ref) in zip(chunk, _generate_chunk(geom, h, chunk)):
             i = len(rows)
-            inputs[i], targets[i] = encode_sample(sample)
+            inputs[i], targets[i] = encode_sample(h_states, v_states, ref)
             rows.append({
-                "azimuth_deg": sample.azimuth_deg,
-                "elevation_deg": sample.elevation_deg,
-                "objective_im": sample.objective_im,
-                "objective_gim": sample.objective_gim,
+                "azimuth_deg": rx.azimuth_deg,
+                "elevation_deg": rx.elevation_deg,
+                "objective_im": objective(ch, PhaseConfig(ref)),
+                "objective_gim": objective(ch, combine_stripes(h_states, v_states)),
             })
             if progress is not None:
                 progress(i + 1, total)

@@ -234,8 +234,9 @@ def compute_illumination(geom: RisGeometry, tx: TxSpec, *,
     return amp * np.exp(1j * phase) * cos_inc
 
 
-def rx_channel(geom: RisGeometry, rx: RxSpec) -> np.ndarray:
-    """Rx-side coefficients
+def compute_channels(geom: RisGeometry, h: np.ndarray, rx: RxSpec) -> ChannelMatrices:
+    """Per-element channel coefficients: the Tx side ``h`` of
+    :func:`compute_illumination` and the Rx side
     ``g[n, m] = L_rx * cos(t_rx) * exp(j k0 (m dx sin t cos p + n dy sin t sin p))``
     with the shared far-field path loss ``L_rx = wavelength / (4 pi d_rx)``.
     """
@@ -244,13 +245,7 @@ def rx_channel(geom: RisGeometry, rx: RxSpec) -> np.ndarray:
     col = geom.k0 * geom.dx * np.arange(geom.m_cols) * u
     row = geom.k0 * geom.dy * np.arange(geom.n_rows) * v
     steer = np.exp(1j * (row[:, np.newaxis] + col[np.newaxis, :]))
-    return l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer
-
-
-def compute_channels(geom: RisGeometry, h: np.ndarray, rx: RxSpec) -> ChannelMatrices:
-    """Per-element channel coefficients: the Tx side ``h`` of
-    :func:`compute_illumination` and g from :func:`rx_channel`."""
-    return ChannelMatrices(h, rx_channel(geom, rx))
+    return ChannelMatrices(h, l_rx * np.cos(np.deg2rad(rx.elevation_deg)) * steer)
 
 
 _PATTERN_BLOCK = 512  # directions per GEMM block; keeps the ramps in cache

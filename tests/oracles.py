@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 
 from risopt.evaluate import CSV_COLUMNS
-from risopt.physics import PHASE_TABLE, PhaseConfig, _check_dims
+from risopt.physics import (
+    PHASE_TABLE,
+    SPEED_OF_LIGHT,
+    PhaseConfig,
+    RisGeometry,
+    RxSpec,
+    TxSpec,
+    _check_dims,
+)
 
 
 def flip_delta(ch, cfg, row, col, new_state, current_sum):
@@ -52,6 +60,54 @@ def scattered_field(geom, h, cfg, elevation_deg, azimuth_deg):
     steer = geom.k0 * np.sin(t) * (m * geom.dx * np.cos(p) + n * geom.dy * np.sin(p))
     terms = h * np.exp(1j * (phases_rad(cfg) + steer))
     return complex(np.cos(t) * terms.sum())
+
+
+def loop_gain(ch, states):
+    """Cascade gain of the 0/1 ``states`` matrix, accumulated element by
+    element: the sum of ``h * exp(j * phase) * g``."""
+    total = 0.0 + 0.0j
+    n_rows, m_cols = ch.shape
+    for n in range(n_rows):
+        for m in range(m_cols):
+            refl = np.deg2rad(PHASE_TABLE[states[n, m]])
+            total += ch.h[n, m] * np.exp(1j * refl) * ch.g[n, m]
+    return total
+
+
+def loop_field(geom, h, cfg, elev_deg, azim_deg):
+    """Scattered field in direction (elevation, azimuth), accumulated
+    element by element: each term multiplies the reflection and the
+    steering phasor, where :func:`scattered_field` takes one ``exp`` of
+    their summed phases."""
+    k0 = 2 * np.pi * geom.carrier_freq / SPEED_OF_LIGHT
+    t = np.deg2rad(elev_deg)
+    p = np.deg2rad(azim_deg)
+    total = 0.0 + 0.0j
+    for n in range(geom.n_rows):
+        for m in range(geom.m_cols):
+            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
+            steer = k0 * (m * geom.dx * np.sin(t) * np.cos(p)
+                          + n * geom.dy * np.sin(t) * np.sin(p))
+            total += h[n, m] * np.exp(1j * refl) * np.exp(1j * steer)
+    return np.cos(t) * total
+
+
+def random_instance(rng, max_side=8, tx_azimuth_stop=360 - 1e-9):
+    """A random surface of at most ``max_side`` x ``max_side`` elements,
+    with a Tx, an Rx and a config: ``(geom, tx, rx, cfg)``.  The Tx
+    azimuth is drawn from [0, ``tx_azimuth_stop``)."""
+    m_cols = int(rng.integers(1, max_side + 1))
+    n_rows = int(rng.integers(1, max_side + 1))
+    freq = float(rng.uniform(1e9, 30e9))
+    lam = SPEED_OF_LIGHT / freq
+    geom = RisGeometry(m_cols, n_rows, lam * rng.uniform(0.3, 0.7),
+                       lam * rng.uniform(0.3, 0.7), freq)
+    tx = TxSpec(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-80, 80)),
+                float(rng.uniform(0, tx_azimuth_stop)))
+    rx = RxSpec(float(rng.uniform(2.0, 50.0)), float(rng.uniform(-80, 80)),
+                float(rng.uniform(0, 360)))
+    cfg = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
+    return geom, tx, rx, cfg
 
 
 def with_state(cfg, row, col, state):

@@ -46,9 +46,15 @@ from risopt.optimizers import (
     im_optimize,
     step_count,
 )
-from risopt.physics import PHASE_TABLE, SPEED_OF_LIGHT
 
-from oracles import flip_delta, scattered_field, with_state
+from oracles import (
+    flip_delta,
+    loop_field,
+    loop_gain,
+    random_instance,
+    scattered_field,
+    with_state,
+)
 
 
 def report(capsys, line):
@@ -92,57 +98,20 @@ def test_step_count_reduction(capsys):
 
 # ------------------------------------------------- 2: physics vs naive loops
 
-def _oracle_field(geom, h, cfg, elev_deg, azim_deg):
-    k0 = 2 * np.pi * geom.carrier_freq / SPEED_OF_LIGHT
-    t, p = np.deg2rad(elev_deg), np.deg2rad(azim_deg)
-    total = 0.0 + 0.0j
-    for n in range(geom.n_rows):
-        for m in range(geom.m_cols):
-            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
-            steer = k0 * (m * geom.dx * np.sin(t) * np.cos(p)
-                          + n * geom.dy * np.sin(t) * np.sin(p))
-            total += h[n, m] * np.exp(1j * (refl + steer))
-    return np.cos(t) * total
-
-
-def _oracle_gain(ch, cfg):
-    total = 0.0 + 0.0j
-    for n in range(ch.shape[0]):
-        for m in range(ch.shape[1]):
-            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
-            total += ch.h[n, m] * np.exp(1j * refl) * ch.g[n, m]
-    return total
-
-
-def _random_instance(rng):
-    m_cols = int(rng.integers(1, 9))
-    n_rows = int(rng.integers(1, 9))
-    freq = float(rng.uniform(1e9, 30e9))
-    lam = SPEED_OF_LIGHT / freq
-    geom = RisGeometry(m_cols, n_rows, lam * rng.uniform(0.3, 0.7),
-                       lam * rng.uniform(0.3, 0.7), freq)
-    tx = TxSpec(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-80, 80)),
-                float(rng.uniform(0, 359.9)))
-    rx = RxSpec(float(rng.uniform(2.0, 50.0)), float(rng.uniform(-80, 80)),
-                float(rng.uniform(0, 360)))
-    cfg = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
-    return geom, tx, rx, cfg
-
-
 def test_physics_matches_naive_oracles(capsys):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):
-        geom, tx, rx, cfg = _random_instance(rng)
+        geom, tx, rx, cfg = random_instance(rng, tx_azimuth_stop=359.9)
         h = compute_illumination(geom, tx)
         ch = compute_channels(geom, h, rx)
 
         field = scattered_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
-        want = _oracle_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
+        want = loop_field(geom, h, cfg, rx.elevation_deg, rx.azimuth_deg)
         worst = max(worst, abs(field - want) / abs(want))
 
         gain = cascade_gain(ch, cfg)
-        want_gain = _oracle_gain(ch, cfg)
+        want_gain = loop_gain(ch, cfg.states)
         worst = max(worst, abs(gain - want_gain) / abs(want_gain))
 
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -160,7 +129,7 @@ def test_physics_matches_naive_oracles(capsys):
     flip_worst = 0.0
     flip_rng = np.random.default_rng(77)
     for _ in range(10):
-        geom, tx, rx, _ = _random_instance(flip_rng)
+        geom, tx, rx, _ = random_instance(flip_rng, tx_azimuth_stop=359.9)
         ch = compute_channels(geom, compute_illumination(geom, tx), rx)
         states = flip_rng.integers(0, 2, (geom.n_rows, geom.m_cols))
         cfg = PhaseConfig(states)

@@ -220,6 +220,20 @@ def test_eval_writes_report_and_summary(pipeline, capsys):
     assert "cnn: max_gap_db=" in out
 
 
+def test_eval_seed_draws_only_the_noisy_link(pipeline, tmp_path):
+    # no --seed draws the noisy link from seed 0; another seed draws another link
+    def noisy(name, *seed):
+        out = tmp_path / f"{name}.csv"
+        assert main(["eval", "--data", str(pipeline["dataset"]),
+                     "--weights", str(pipeline["weights"]), "--report-out", str(out),
+                     "--snr-db", "10", *seed]) == 0
+        return out.read_bytes()
+
+    default = noisy("default")
+    assert default == noisy("seed0", "--seed", "0")
+    assert default != noisy("seed7", "--seed", "7")
+
+
 def test_eval_missing_weights_is_runtime_error(pipeline, capsys):
     code = main(["eval", "--data", str(pipeline["dataset"]),
                  "--weights", str(pipeline["root"] / "nothing.rist"),
@@ -502,6 +516,7 @@ _BAD_FLAGS = {
     ("train", "--lr", "-1", "must be >= 0"),
     ("generate", "--seed", "-1", "must be >= 0"),
     ("train", "--seed", "-1", "must be >= 0"),
+    ("eval", "--seed", "-1", "must be >= 0"),
     ("generate", "--grid-step", "0", "must be > 0"),
     ("generate", "--grid-step", "nan", "must be finite"),
     ("generate", "--grid-step", "inf", "must be finite"),
@@ -549,6 +564,15 @@ def test_seed_is_an_unrecognized_argument_where_nothing_is_random(tmp_path, caps
         main([*argv, "--seed", "3"])
     assert err.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_seed_without_snr_db_is_usage_error(tmp_path, capsys):
+    # without --snr-db nothing in eval is random, so the seed would be ignored
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS["eval"]]
+    assert main([*argv, "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--snr-db" in err
     assert list(tmp_path.iterdir()) == []
 
 

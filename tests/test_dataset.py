@@ -14,7 +14,6 @@ from risopt.data import (
     MAX_GRID_POINTS,
     AngularGrid,
     DatasetManifest,
-    Sample,
     encode_sample,
     generate_dataset,
     generate_sample,
@@ -171,50 +170,34 @@ def test_split_ratio_validation():
 
 # ---------------------------------------------------------------- encoding
 
-def _hand_sample(h_states, v_states, ref_states):
-    return Sample(
-        h_states=np.array(h_states),
-        v_states=np.array(v_states),
-        ref_cfg=PhaseConfig(np.array(ref_states)),
-        elevation_deg=0.0,
-        azimuth_deg=90.0,
-        objective_im=1.0,
-        objective_gim=0.5,
-    )
-
-
 def test_encode_all_zero_sample():
-    s = _hand_sample([0, 0, 0], [0, 0, 0], np.zeros((3, 3), dtype=int))
-    x, y = encode_sample(s)
+    x, y = encode_sample(np.zeros(3, dtype=int), np.zeros(3, dtype=int),
+                         np.zeros((3, 3), dtype=int))
     np.testing.assert_array_equal(x, np.ones((3, 3, 2)))
     np.testing.assert_array_equal(y, np.ones((3, 3)))
 
 
 def test_encode_hand_built_cell_by_cell():
-    s = _hand_sample([0, 1, 0], [1, 0, 1], [[0, 1, 0], [1, 0, 1], [0, 0, 1]])
-    x, y = encode_sample(s)
+    h_states, v_states = np.array([0, 1, 0]), np.array([1, 0, 1])
+    ref_states = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
+    x, y = encode_sample(h_states, v_states, ref_states)
     for n in range(3):
         for m in range(3):
-            assert x[n, m, 0] == (1.0 if s.h_states[n] == 0 else -1.0)
-            assert x[n, m, 1] == (1.0 if s.v_states[m] == 0 else -1.0)
-            assert y[n, m] == (1.0 if s.ref_cfg.states[n, m] == 0 else -1.0)
+            assert x[n, m, 0] == (1.0 if h_states[n] == 0 else -1.0)
+            assert x[n, m, 1] == (1.0 if v_states[m] == 0 else -1.0)
+            assert y[n, m] == (1.0 if ref_states[n, m] == 0 else -1.0)
 
 
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(6)
-    s = _hand_sample(rng.integers(0, 2, 4), rng.integers(0, 2, 4),
-                     rng.integers(0, 2, (4, 4)))
-    x, y = encode_sample(s)
+    h_states, v_states = rng.integers(0, 2, 4), rng.integers(0, 2, 4)
+    ref_states = rng.integers(0, 2, (4, 4))
+    x, y = encode_sample(h_states, v_states, ref_states)
     np.testing.assert_array_equal(pm1_to_states(x[:, :, 0]),
-                                  expand_stripe(s.h_states, "horizontal", (4, 4)).states)
+                                  expand_stripe(h_states, "horizontal", (4, 4)).states)
     np.testing.assert_array_equal(pm1_to_states(x[:, :, 1]),
-                                  expand_stripe(s.v_states, "vertical", (4, 4)).states)
-    np.testing.assert_array_equal(pm1_to_states(y), s.ref_cfg.states)
-
-
-def test_sample_dimension_validation():
-    with pytest.raises(ValueError):
-        _hand_sample([0, 0], [0, 0, 0], np.zeros((3, 3), dtype=int))
+                                  expand_stripe(v_states, "vertical", (4, 4)).states)
+    np.testing.assert_array_equal(pm1_to_states(y), ref_states)
 
 
 # ---------------------------------------------------------------- generation
@@ -406,13 +389,13 @@ def test_splits_file_matches_split_function(tmp_path):
 def test_generate_sample_orientations():
     geom, tx = small_setup(3, 5)
     h = compute_illumination(geom, tx)
-    s = generate_sample(geom, h, RxSpec(10.0, 10.0, 60.0))
-    assert s.h_states.shape == (5,)  # one state per row
-    assert s.v_states.shape == (3,)  # one state per column
-    assert s.h_states.dtype == s.v_states.dtype == np.int64
-    assert s.ref_cfg.shape == (5, 3)
-    x, _ = encode_sample(s)
-    for got, want in zip(stripe_states(x), (s.h_states, s.v_states)):
+    _, h_states, v_states, ref_states = generate_sample(geom, h, RxSpec(10.0, 10.0, 60.0))
+    assert h_states.shape == (5,)  # one state per row
+    assert v_states.shape == (3,)  # one state per column
+    assert h_states.dtype == v_states.dtype == np.int64
+    assert ref_states.shape == (5, 3)
+    x, _ = encode_sample(h_states, v_states, ref_states)
+    for got, want in zip(stripe_states(x), (h_states, v_states)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -462,7 +445,7 @@ def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count, flat):
 
     h = compute_illumination(geom, tx, flat_tx_phase=flat)
     samples = [generate_sample(geom, h, RxSpec(10.0, el, az)) for az, el in grid.points()]
-    inputs, targets = zip(*map(encode_sample, samples))
+    inputs, targets = zip(*(encode_sample(*s[1:]) for s in samples))
     save_tensors(tmp_path / "ref_inputs.rist", inputs)
     save_tensors(tmp_path / "ref_targets.rist", targets)
     for name in ("inputs", "targets"):
@@ -470,4 +453,5 @@ def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count, flat):
         assert (tmp_path / f"{name}.rist").read_bytes() == ref, name
     rows = load_sample_rows(tmp_path)
     assert [(r["objective_im"], r["objective_gim"]) for r in rows] == [
-        (s.objective_im, s.objective_gim) for s in samples]
+        (objective(ch, PhaseConfig(ref)), objective(ch, combine_stripes(h_states, v_states)))
+        for ch, h_states, v_states, ref in samples]

@@ -29,7 +29,7 @@ from risopt.optimizers import (
     step_count,
 )
 
-from oracles import expand_stripe, flip_delta, with_state
+from oracles import expand_stripe, flip_delta, loop_gain, with_state
 
 
 def random_channels(rng, n_rows, m_cols):
@@ -40,21 +40,12 @@ def random_channels(rng, n_rows, m_cols):
 
 # ---------------------------------------------------------------- oracles
 
-def oracle_gain(ch, states):
-    total = 0.0 + 0.0j
-    n_rows, m_cols = ch.shape
-    for n in range(n_rows):
-        for m in range(m_cols):
-            total += ch.h[n, m] * np.exp(1j * np.deg2rad(PHASE_TABLE[states[n, m]])) * ch.g[n, m]
-    return total
-
-
 def oracle_im(ch):
     """Greedy raster sweep from all-zero states, recomputing the objective
     from scratch every trial; each element tries state 1 once, and the
     step of its starting state 0 keeps the best."""
     states = np.zeros(ch.shape, dtype=np.int64)
-    best = abs(oracle_gain(ch, states))
+    best = abs(loop_gain(ch, states))
     n_rows, m_cols = ch.shape
     history = []
     for n in range(n_rows):
@@ -62,7 +53,7 @@ def oracle_im(ch):
             history.append(best)
             trial = states.copy()
             trial[n, m] = 1
-            val = abs(oracle_gain(ch, trial))
+            val = abs(loop_gain(ch, trial))
             if val > best:
                 best = val
                 states = trial
@@ -181,7 +172,7 @@ def oracle_enumerate(ch):
     """
     n_rows, m_cols = ch.shape
     n_configs = 2 ** (n_rows * m_cols)
-    vals = [abs(oracle_gain(ch, decode_states(e, n_rows, m_cols))) for e in range(n_configs)]
+    vals = [abs(loop_gain(ch, decode_states(e, n_rows, m_cols))) for e in range(n_configs)]
     best_val = max(vals)
     for e, v in enumerate(vals):
         if v >= best_val * (1 - 1e-12):
@@ -330,7 +321,7 @@ def test_gim_identical_rows_reach_rowwise_brute_force():
     for enc in range(2**4):
         row_states = np.array([(enc >> i) & 1 for i in range(4)])
         full = np.repeat(row_states[:, None], 4, axis=1)
-        best_val = max(best_val, abs(oracle_gain(ch, full)))
+        best_val = max(best_val, abs(loop_gain(ch, full)))
 
     stripe, trace = gim_optimize(ch, "horizontal")
     assert trace.final_objective == pytest.approx(best_val, rel=1e-9)
@@ -368,7 +359,7 @@ def test_gim_matches_stripe_oracle():
                         full = np.repeat(trial[:, None], m_cols, axis=1)
                     else:
                         full = np.repeat(trial[None, :], n_rows, axis=0)
-                    val = abs(oracle_gain(ch, full))
+                    val = abs(loop_gain(ch, full))
                     if val > best:
                         best = val
                         states = trial

@@ -1,15 +1,15 @@
 """Physics layer vs. independent scalar-loop oracles.
 
-Every vectorized quantity is recomputed here element by element from
-explicit 3-D positions and compared at tight tolerance.  The oracles
-deliberately share no code with the library.
+Every vectorized quantity is recomputed element by element from
+explicit 3-D positions, here and in ``oracles`` (the gain and field
+loops), and compared at tight tolerance.  The oracles deliberately share
+no code with the library.
 """
 
 import numpy as np
 import pytest
 
 from risopt import (
-    PHASE_TABLE,
     ChannelMatrices,
     DegeneratePowerError,
     PhaseConfig,
@@ -27,7 +27,15 @@ from risopt import (
 from risopt import physics
 from risopt.physics import SPEED_OF_LIGHT, direction_cosines
 
-from oracles import flip_delta, phases_rad, scattered_field, with_state
+from oracles import (
+    flip_delta,
+    loop_field,
+    loop_gain,
+    phases_rad,
+    random_instance,
+    scattered_field,
+    with_state,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -71,52 +79,6 @@ def oracle_h(geom, tx):
     """Tx-side coefficients ``amp * e^{j phase} * cos_inc`` of the oracle illumination."""
     amp, phase, cos_inc = oracle_illumination(geom, tx)
     return amp * np.exp(1j * phase) * cos_inc
-
-
-def oracle_field(geom, h, cfg, elev_deg, azim_deg):
-    """Direct double-loop accumulation of the scattered-field sum."""
-    k0 = 2 * np.pi * geom.carrier_freq / SPEED_OF_LIGHT
-    t = np.deg2rad(elev_deg)
-    p = np.deg2rad(azim_deg)
-    total = 0.0 + 0.0j
-    for n in range(geom.n_rows):
-        for m in range(geom.m_cols):
-            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
-            steer = k0 * (
-                m * geom.dx * np.sin(t) * np.cos(p)
-                + n * geom.dy * np.sin(t) * np.sin(p)
-            )
-            total += (
-                h[n, m]
-                * np.exp(1j * refl)
-                * np.exp(1j * steer)
-            )
-    return np.cos(t) * total
-
-
-def oracle_gain(ch, cfg):
-    total = 0.0 + 0.0j
-    n_rows, m_cols = ch.shape
-    for n in range(n_rows):
-        for m in range(m_cols):
-            refl = np.deg2rad(PHASE_TABLE[cfg.states[n, m]])
-            total += ch.h[n, m] * np.exp(1j * refl) * ch.g[n, m]
-    return total
-
-
-def random_instance(rng, max_side=8):
-    m_cols = int(rng.integers(1, max_side + 1))
-    n_rows = int(rng.integers(1, max_side + 1))
-    freq = float(rng.uniform(1e9, 30e9))
-    lam = SPEED_OF_LIGHT / freq
-    geom = RisGeometry(m_cols, n_rows, lam * rng.uniform(0.3, 0.7),
-                       lam * rng.uniform(0.3, 0.7), freq)
-    tx = TxSpec(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-80, 80)),
-                float(rng.uniform(0, 360 - 1e-9)))
-    rx = RxSpec(float(rng.uniform(2.0, 50.0)), float(rng.uniform(-80, 80)),
-                float(rng.uniform(0, 360)))
-    cfg = PhaseConfig(rng.integers(0, 2, (n_rows, m_cols)))
-    return geom, tx, rx, cfg
 
 
 # ---------------------------------------------------------------- geometry
@@ -270,7 +232,7 @@ def test_scattered_field_matches_double_loop():
         elev = float(rng.uniform(-89, 89))
         azim = float(rng.uniform(0, 360))
         got = scattered_field(geom, h, cfg, elev, azim)
-        want = oracle_field(geom, h, cfg, elev, azim)
+        want = loop_field(geom, h, cfg, elev, azim)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
 
 
@@ -396,7 +358,7 @@ def test_cascade_gain_matches_scalar_oracle():
         h = compute_illumination(geom, tx)
         ch = compute_channels(geom, h, rx)
         got = cascade_gain(ch, cfg)
-        want = oracle_gain(ch, cfg)
+        want = loop_gain(ch, cfg.states)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
 
 
