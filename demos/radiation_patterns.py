@@ -49,7 +49,7 @@ def main():
     elevations = np.arange(-60.0, 61.0, 1.0)
     azimuths = np.arange(0.0, 181.0, 1.0)
 
-    broadside = PhaseConfig.zeros(16, 16)
+    broadside = PhaseConfig(np.zeros((16, 16), dtype=np.int64))
     pat0 = radiation_pattern(geom, h, broadside, elevations, azimuths)
 
     target = RxSpec(10.0, 25.0, 120.0)

@@ -30,6 +30,7 @@ from risopt.cnn import (
 )
 from risopt.data import (
     DEFAULT_SPLIT,
+    MAX_ELEMENTS,
     SPLIT_NAMES,
     AngularGrid,
     _write_json,
@@ -232,8 +233,11 @@ class _UsageError(Exception):
 
 def _surface(args) -> tuple:
     """Geometry, transmitter and Tx-side coefficients ``h`` the shared flags
-    describe; a surface whose illumination or Rx path loss overflows is a
-    usage error."""
+    describe; a surface of more than ``MAX_ELEMENTS`` elements, or whose
+    illumination or Rx path loss overflows, is a usage error."""
+    if args.ris_m * args.ris_n > MAX_ELEMENTS:
+        raise _UsageError(f"--ris-m {args.ris_m} x --ris-n {args.ris_n} is more than the "
+                          f"{MAX_ELEMENTS} elements a surface may hold")
     freq = args.freq_ghz * 1e9
     if args.spacing is None:
         geom = RisGeometry.half_wavelength(args.ris_m, args.ris_n, freq)
@@ -286,6 +290,10 @@ def _stderr(line: str) -> None:
 
 
 def cmd_generate(args) -> int:
+    kernel = max(cnn.DEFAULT_KERNELS)
+    if min(args.ris_m, args.ris_n) < kernel:
+        raise _UsageError(f"--ris-m {args.ris_m} x --ris-n {args.ris_n} is smaller than the "
+                          f"network's largest kernel ({kernel}); give both at least {kernel}")
     geom, tx, _ = _surface(args)
     try:
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],

@@ -53,9 +53,7 @@ from risopt.tensorfile import load_tensors, save_tensors
 DEFAULT_CHANNELS = (2, 4, 16, 32, 128, 64, 8, 4, 1)
 DEFAULT_KERNELS = (3, 3, 3, 5, 5, 3, 3, 3)
 DEFAULT_DROPOUT_AFTER = (3, 6)  # dropout follows conv layers 3 and 6 (1-based)
-DEFAULT_DROPOUT_RATE = 0.2
-
-MODES = ("train", "eval")
+DROPOUT_RATE = 0.2
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -79,12 +77,11 @@ class ConvLayer:
 
 @dataclass
 class Model:
-    """Conv layers in order, with inverted dropout (train mode only) after
+    """Conv layers in order, with inverted dropout (seeded passes only) after
     each conv whose 1-based index is in ``dropout_after``."""
 
     convs: list
     dropout_after: tuple = ()
-    dropout_rate: float = DEFAULT_DROPOUT_RATE
 
     def __post_init__(self):
         if not self.convs:
@@ -94,8 +91,6 @@ class Model:
                 raise ValueError("conv channel chain is inconsistent")
         if not all(1 <= i <= len(self.convs) for i in self.dropout_after):
             raise ValueError(f"dropout_after must hold conv indices in [1, {len(self.convs)}]")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
 
     @property
     def in_channels(self) -> int:
@@ -112,7 +107,7 @@ class Model:
         """A deep copy, with parameters cast to ``dtype`` if given."""
         return Model([ConvLayer(np.array(l.weights, dtype), np.array(l.bias, dtype))
                       for l in self.convs],
-                     self.dropout_after, self.dropout_rate)
+                     self.dropout_after)
 
 
 def make_model(
@@ -120,7 +115,6 @@ def make_model(
     channels=DEFAULT_CHANNELS,
     kernels=DEFAULT_KERNELS,
     dropout_after=DEFAULT_DROPOUT_AFTER,
-    dropout_rate: float = DEFAULT_DROPOUT_RATE,
     dtype=np.float32,
 ) -> Model:
     """Build a model with uniform Glorot weights and zero biases.
@@ -140,7 +134,7 @@ def make_model(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, (k, k, cin, cout)).astype(dtype)
         convs.append(ConvLayer(weights, np.zeros(cout, dtype=dtype)))
-    return Model(convs, tuple(dropout_after), dropout_rate)
+    return Model(convs, tuple(dropout_after))
 
 
 # ------------------------------------------------------------------ conv core
@@ -250,21 +244,20 @@ def _conv_backward(xp: np.ndarray, weights: np.ndarray, dz: np.ndarray):
     return dw, dz.reshape(-1, cout).sum(axis=0), dx
 
 
-def _forward_pass(model: Model, x: np.ndarray, mode: str, rng):
-    """Run all layers, returning the last activation and per-conv caches
-    ``(layer, padded input, tanh output, dropout mask or None)``."""
+def _forward_pass(model: Model, x: np.ndarray, rng):
+    """Run all layers, with dropout drawn from ``rng`` unless it is None,
+    returning the last activation and per-conv caches ``(layer, padded
+    input, tanh output, dropout mask or None)``."""
     caches = []
     a = x
-    drop = mode == "train" and model.dropout_rate > 0.0
-    scale = 1.0 / (1.0 - model.dropout_rate)
     for i, layer in enumerate(model.convs, start=1):
         z, xp = _conv_forward(a, layer.weights, layer.bias)
         act = np.tanh(z)
         keep = None
-        if drop and i in model.dropout_after:
-            keep = rng.random(act.shape) >= model.dropout_rate
+        if rng is not None and i in model.dropout_after:
+            keep = rng.random(act.shape) >= DROPOUT_RATE
         caches.append((layer, xp, act, keep))
-        a = act if keep is None else act * keep * scale
+        a = act if keep is None else act * keep * (1.0 / (1.0 - DROPOUT_RATE))
     return a, caches
 
 
@@ -276,24 +269,26 @@ def _check_shape(model: Model, shape: tuple) -> None:
         raise ValueError("input smaller than the largest kernel")
 
 
-def _check_input(model: Model, x: np.ndarray, mode: str) -> np.ndarray:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+def _check_input(model: Model, x: np.ndarray) -> np.ndarray:
     # follow the parameter dtype so float32 models run fully in float32
     x = np.asarray(x, dtype=model.convs[0].weights.dtype)
     _check_shape(model, x.shape)
     return x
 
 
-def model_forward(model: Model, x, mode: str = "eval", rng_seed: int = 0) -> np.ndarray:
+def _rng(seed):
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def model_forward(model: Model, x, rng_seed: int | None = None) -> np.ndarray:
     """Network output for one input image.
 
-    Train mode applies seeded inverted dropout; eval mode is
-    deterministic with no stochastic path.  A single-channel result is
-    squeezed to (H, W).
+    With ``rng_seed`` the pass is a training pass, with inverted dropout
+    drawn from that seed; without it the pass is deterministic.  A
+    single-channel result is squeezed to (H, W).
     """
-    x = _check_input(model, x, mode)
-    out, _ = _forward_pass(model, x, mode, np.random.default_rng(rng_seed))
+    x = _check_input(model, x)
+    out, _ = _forward_pass(model, x, _rng(rng_seed))
     return out[:, :, 0] if out.shape[2] == 1 else out
 
 
@@ -306,38 +301,36 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def _loss_and_grads(model: Model, x: np.ndarray, target: np.ndarray, mode: str, rng):
-    """Forward + reverse pass; returns (loss, grads aligned with parameters())."""
-    out, caches = _forward_pass(model, x, mode, rng)
+def _loss_and_grads(model: Model, x: np.ndarray, target: np.ndarray, rng):
+    """Forward + reverse pass (dropout as in :func:`_forward_pass`); returns
+    (:func:`mse_loss`, grads aligned with parameters())."""
+    out, caches = _forward_pass(model, x, rng)
     target = np.asarray(target, dtype=out.dtype)
     if target.ndim == 2:
         target = target[:, :, np.newaxis]
-    if target.shape != out.shape:
-        raise ValueError(f"target shape {target.shape} does not match output {out.shape}")
+    loss = mse_loss(out, target)
     diff = out - target
-    loss = float(np.mean(diff * diff))
     da = 2.0 * diff / diff.size
 
-    scale = 1.0 / (1.0 - model.dropout_rate)
     grads = []
     for layer, xp, act, keep in reversed(caches):
         if keep is not None:
-            da = da * keep * scale
+            da = da * keep * (1.0 / (1.0 - DROPOUT_RATE))
         dw, db, da = _conv_backward(xp, layer.weights, da * (1.0 - act * act))
         grads += [db, dw]
     grads.reverse()
     return loss, grads
 
 
-def model_backward(model: Model, x, target, mode: str = "train", rng_seed: int = 0) -> list:
+def model_backward(model: Model, x, target, rng_seed: int | None = None) -> list:
     """Gradient of the MSE loss w.r.t. every weight and bias.
 
     The same ``rng_seed`` reproduces the dropout masks of the matching
     :func:`model_forward` call, so the gradients correspond exactly to
-    that stochastic forward pass.
+    that pass; without one, to the deterministic pass.
     """
-    x = _check_input(model, x, mode)
-    _, grads = _loss_and_grads(model, x, target, mode, np.random.default_rng(rng_seed))
+    x = _check_input(model, x)
+    _, grads = _loss_and_grads(model, x, target, _rng(rng_seed))
     return grads
 
 
@@ -408,7 +401,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
     """Mini-batch ADAM training with early stopping on validation loss.
 
     Per epoch: seeded shuffle, gradient averaged over each batch, one
-    ADAM step per batch, then a full eval-mode validation pass.  Training
+    ADAM step per batch, then a full deterministic validation pass.  Training
     stops once the validation loss has gone ``cfg.patience`` consecutive
     epochs without improving its running minimum, or at
     ``cfg.max_epochs``.  The weights are whatever the last epoch left
@@ -441,8 +434,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
                 rng = np.random.default_rng(
                     np.random.SeedSequence(cfg.rng_seed,
                                            spawn_key=(1, epoch, int(idx))))
-                loss, grads = _loss_and_grads(
-                    model, train_x[idx], train_y[idx], "train", rng)
+                loss, grads = _loss_and_grads(model, train_x[idx], train_y[idx], rng)
                 loss_sum += loss
                 if batch_grads is None:
                     batch_grads = grads
@@ -457,7 +449,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
 
         train_loss = loss_sum / len(order)
         val_loss = np.mean([
-            mse_loss(model_forward(model, val_x[i], "eval"), val_y[i])
+            mse_loss(model_forward(model, val_x[i]), val_y[i])
             for i in range(len(val_x))
         ])
         if not np.isfinite([train_loss, val_loss]).all():
@@ -510,7 +502,7 @@ def stripe_states(image) -> tuple:
 
 def predict_config(model: Model, image) -> PhaseConfig:
     """Full binary config predicted from a :func:`stripe_image`: an
-    eval-mode forward pass, sign-decoded (>= 0 means phase state 0).
+    deterministic forward pass, sign-decoded (>= 0 means phase state 0).
 
     The pass runs in the model's dtype.  A float32 output that lies within
     ``SIGN_MARGIN`` of zero could have the opposite sign in float64, so if
@@ -520,9 +512,9 @@ def predict_config(model: Model, image) -> PhaseConfig:
     float32 output was at most 5.6e-7 away from the float64 one; 1e-5 is
     about 18x that, and about 5% of those images took the re-run.
     """
-    out = model_forward(model, image, "eval")
+    out = model_forward(model, image)
     if out.dtype == np.float32 and (np.abs(out) < SIGN_MARGIN).any():
-        out = model_forward(model.copy(np.float64), image, "eval")
+        out = model_forward(model.copy(np.float64), image)
     return PhaseConfig(pm1_to_states(out))
 
 
@@ -534,14 +526,14 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> Model:
-    """Rebuild a model from a weights file, for eval-mode use only.
+    """Rebuild a model from a weights file, for deterministic passes only.
 
     The model keeps the file's float32, so its passes run in float32;
     :func:`predict_config` re-runs an image in float64 when an output lies
     within ``SIGN_MARGIN`` (1e-5, about 18x the largest float32 error
     measured) of zero, so its decisions match a float64 pass.  The file
-    stores only conv parameters, so the model has no dropout; dropout
-    never runs at eval time, the only mode a reloaded model is meant for.
+    stores only conv parameters, so the model has no dropout, which only
+    training passes apply.
     """
     records = load_tensors(path)
     if not records or len(records) % 2:

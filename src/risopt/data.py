@@ -56,6 +56,9 @@ BATCH_ANGLES = 128
 MIN_BATCH = 14
 
 MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays and CSV near 2 GB
+# the largest per-element array is a batched chunk's complex flips, 16 B x
+# BATCH_ANGLES = 2 KiB per element: 2**18 elements (512x512) take 0.5 GiB
+MAX_ELEMENTS = 2**18
 
 
 def _count(start: float, stop: float, step: float) -> int:
@@ -306,14 +309,20 @@ def load_manifest(data_dir) -> DatasetManifest:
 
 def load_splits(data_dir) -> dict:
     """The train/val/test index lists, each index checked to be an integer
-    below the manifest's sample count."""
-    total = load_manifest(data_dir).counts["total"]
+    below the manifest's sample count, and the lists checked to hold every
+    sample once, in the sizes the manifest counts."""
+    counts = load_manifest(data_dir).counts
+    total = counts["total"]
     path = Path(data_dir) / "splits.json"
     splits = json.loads(path.read_text(encoding="utf-8"))
     for name in SPLIT_NAMES:
         idx = splits.get(name) if isinstance(splits, dict) else None
         if not (isinstance(idx, list) and all(type(i) is int and 0 <= i < total for i in idx)):
             raise ValueError(f"{path}: split {name!r} must list sample indices in [0, {total})")
+    if (any(len(splits[name]) != counts[name] for name in SPLIT_NAMES)
+            or sorted(i for name in SPLIT_NAMES for i in splits[name]) != list(range(total))):
+        raise ValueError(f"{path}: the splits must hold each of the {total} samples once, "
+                         f"in the manifest's counts {counts}")
     return splits
 
 
@@ -329,14 +338,21 @@ def load_sample_rows(data_dir) -> list:
 
 def load_arrays(data_dir):
     """The stored float32 records, stacked: (N, H, W, 2) inputs and
-    (N, H, W) targets.  The model casts them to its own dtype."""
+    (N, H, W) targets, checked against the manifest's count and surface.
+    The model casts them to its own dtype."""
     from risopt.tensorfile import load_tensors
 
     data_dir = Path(data_dir)
     inputs = load_tensors(data_dir / "inputs.rist")
     targets = load_tensors(data_dir / "targets.rist")
-    total = load_manifest(data_dir).counts["total"]
+    manifest = load_manifest(data_dir)
+    total = manifest.counts["total"]
     if not len(inputs) == len(targets) == total:
         raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "
                          f"records, but its manifest counts {total} samples")
-    return np.stack(inputs), np.stack(targets)
+    inputs, targets = np.stack(inputs), np.stack(targets)
+    side = (manifest.geometry.n_rows, manifest.geometry.m_cols)
+    if inputs.shape[1:] != (*side, 2) or targets.shape[1:] != side:
+        raise ValueError(f"{data_dir}: tensor files do not match the manifest geometry "
+                         f"({side[0]} rows, {side[1]} columns)")
+    return inputs, targets

@@ -91,8 +91,6 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         raise ValueError(f"split {split!r} of {data_dir} has no samples to score")
     sample_rows = load_sample_rows(data_dir)
     inputs, targets = load_arrays(data_dir)
-    if inputs.shape[1:3] != (manifest.geometry.n_rows, manifest.geometry.m_cols):
-        raise ValueError("tensor files do not match the manifest geometry")
     if model.in_channels != 2:
         raise ValueError("model does not take 2-channel stripe inputs")
 

@@ -52,8 +52,7 @@ class OptimizeTrace:
     """Step accounting for one optimizer run.
 
     ``best_objective_history[k]`` is the running best objective after
-    step k, non-decreasing; ``steps`` is its length and
-    ``final_objective`` its last value.
+    step k, non-decreasing; ``steps`` is its length.
     """
 
     best_objective_history: np.ndarray
@@ -67,10 +66,6 @@ class OptimizeTrace:
     @property
     def steps(self) -> int:
         return len(self.best_objective_history)
-
-    @property
-    def final_objective(self) -> float:
-        return float(self.best_objective_history[-1])
 
 
 def _greedy(flips, current) -> tuple:

@@ -159,10 +159,6 @@ class PhaseConfig:
             raise ValueError("states must be 0 or 1")
         object.__setattr__(self, "states", states)
 
-    @classmethod
-    def zeros(cls, n_rows: int, m_cols: int) -> "PhaseConfig":
-        return cls(np.zeros((n_rows, m_cols), dtype=np.int64))
-
     @property
     def shape(self) -> tuple:
         return self.states.shape

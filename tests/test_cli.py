@@ -763,3 +763,68 @@ def test_surface_flags_that_match_the_dataset_are_accepted(surface_12x10, tmp_pa
     assert main([*_dataset_command(command, *surface_12x10, out),
                  *_SURFACE_12X10, "--spacing", spacing]) == 0
     assert out.exists()
+
+
+def _swap_in_transposed_records(ds):
+    # the records of a 10x12 surface in the 12x10 surface's directory
+    for name in ("inputs.rist", "targets.rist"):
+        records = load_tensors(ds / name)
+        save_tensors(ds / name, [np.ascontiguousarray(r.swapaxes(0, 1)) for r in records])
+
+
+def _train_on_a_test_sample(ds):
+    splits = json.loads((ds / "splits.json").read_text(encoding="utf-8"))
+    splits["train"][0] = splits["test"][0]
+    (ds / "splits.json").write_text(json.dumps(splits), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit, message", [
+    (_swap_in_transposed_records, "tensor files do not match the manifest geometry"),
+    (_train_on_a_test_sample, "the splits must hold each of the 4 samples once"),
+], ids=["transposed-records", "train-holds-a-test-sample"])
+def test_dataset_that_does_not_match_itself_fails_before_any_step(
+        surface_12x10, tmp_path, capsys, monkeypatch, command, edit, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(surface_12x10[0], ds)
+    edit(ds)
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(cnn, "_loss_and_grads", no_step)
+    out = tmp_path / "out"
+    assert main(_dataset_command(command, ds, surface_12x10[1], out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "pattern"])
+@pytest.mark.parametrize("m, n", [("513", "512"), ("100000", "100000")])
+def test_surface_above_the_element_bound_is_usage_error(tmp_path, capsys, command, m, n):
+    # 512 x 512 = MAX_ELEMENTS; 100000 x 100000 would ask numpy for 74.5 GiB
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS[command]]
+    assert main([*argv, "--ris-m", m, "--ris-n", n]) == 2
+    assert capsys.readouterr().err == (f"error: --ris-m {m} x --ris-n {n} is more than the "
+                                       "262144 elements a surface may hold\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_surface_at_the_element_bound_is_accepted(tmp_path, capsys):
+    out = tmp_path / "config.rist"
+    assert main(["optimize", *BASE, "--ris-m", "512", "--ris-n", "512", "--method", "gim",
+                 "--el", "0", "--az", "0", "--config-out", str(out)]) == 0
+    assert "steps=2048\n" in capsys.readouterr().out
+    assert load_tensors(out)[0].shape == (512, 512)
+
+
+@pytest.mark.parametrize("m, n", [("4", "8"), ("8", "4"), ("4", "4")])
+def test_generate_refuses_a_surface_below_the_largest_kernel(tmp_path, capsys, m, n):
+    # train, eval and optimize --method cnn would reject the dataset
+    argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS["generate"]]
+    assert main([*argv, "--ris-m", m, "--ris-n", n]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --ris-m {m} x --ris-n {n} is smaller than the network's largest "
+        "kernel (5); give both at least 5\n")
+    assert list(tmp_path.iterdir()) == []

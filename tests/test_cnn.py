@@ -58,13 +58,13 @@ def naive_conv_same(x, kernel, bias):
 
 def naive_forward_eval(model, x):
     a = x
-    for layer in model.convs:  # dropout is identity in eval mode
+    for layer in model.convs:  # an unseeded pass applies no dropout
         a = np.tanh(naive_conv_same(a, layer.weights, layer.bias))
     return a[:, :, 0] if a.shape[2] == 1 else a
 
 
 def one_layer_forward(x, kernel, bias):
-    """Eval-mode output of a single conv layer, kept (H, W, cout)."""
+    """Unseeded output of a single conv layer, kept (H, W, cout)."""
     out = model_forward(Model([ConvLayer(kernel, bias)]), x)
     return out.reshape(x.shape[0], x.shape[1], -1)
 
@@ -131,7 +131,7 @@ def test_default_architecture():
     assert chain == [2, 4, 16, 32, 128, 64, 8, 4, 1]
     assert [c.weights.shape[0] for c in convs] == [3, 3, 3, 5, 5, 3, 3, 3]
     assert model.dropout_after == (3, 6)
-    assert model.dropout_rate == 0.2
+    assert cnn.DROPOUT_RATE == 0.2
     assert num_parameters(model) == 317_645
 
 
@@ -158,8 +158,8 @@ def test_eval_forward_deterministic_and_bounded():
     model = make_model(2, channels=(2, 4, 4, 1), kernels=(3, 3, 3),
                        dropout_after=(1,), dtype=np.float64)
     x = rng.standard_normal((7, 7, 2))
-    a = model_forward(model, x, "eval")
-    b = model_forward(model, x, "eval", rng_seed=999)  # seed irrelevant in eval
+    a = model_forward(model, x)
+    b = model_forward(model, x)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (7, 7)
     assert np.all(np.abs(a) < 1.0)
@@ -170,7 +170,7 @@ def test_forward_matches_naive_layer_stack():
     model = make_model(11, channels=(2, 4, 8, 4, 1), kernels=(3, 5, 3, 3),
                        dropout_after=(2,), dtype=np.float64)
     x = rng.standard_normal((8, 8, 2))
-    got = model_forward(model, x, "eval")
+    got = model_forward(model, x)
     want = naive_forward_eval(model, x)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
@@ -181,8 +181,6 @@ def test_forward_input_validation():
         model_forward(model, np.zeros((6, 6, 3)))  # wrong channel count
     with pytest.raises(ValueError):
         model_forward(model, np.zeros((4, 4, 2)))  # below largest kernel
-    with pytest.raises(ValueError):
-        model_forward(model, np.zeros((6, 6, 2)), mode="test")
 
 
 def test_model_validation():
@@ -191,8 +189,6 @@ def test_model_validation():
         Model([])  # no conv at all
     with pytest.raises(ValueError):
         Model([conv, ConvLayer(np.zeros((3, 3, 8, 1)), np.zeros(1))])  # chain break
-    with pytest.raises(ValueError, match="dropout rate"):
-        Model([conv], dropout_after=(1,), dropout_rate=1.0)
     for after in ((0,), (2,)):  # 1-based, and only one conv
         with pytest.raises(ValueError, match="dropout_after"):
             Model([conv], dropout_after=after)
@@ -229,7 +225,7 @@ def worst_fd_error(kernels):
     model = make_model(15, channels=(2, 3, 1), kernels=kernels, dropout_after=(), dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
-    analytic = model_backward(model, x, target, mode="eval")
+    analytic = model_backward(model, x, target)
     numeric = finite_difference_grads(model, x, target)
     worst = 0.0
     for a, f in zip(analytic, numeric):
@@ -255,11 +251,11 @@ def test_gradients_with_dropout_match_masked_finite_differences():
     # deterministic function we can difference numerically.
     rng = np.random.default_rng(16)
     model = make_model(17, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
-                       dropout_rate=0.5, dtype=np.float64)
+                       dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     target = rng.standard_normal((6, 6))
     seed = 3
-    analytic = model_backward(model, x, target, mode="train", rng_seed=seed)
+    analytic = model_backward(model, x, target, rng_seed=seed)
 
     h = 1e-5
     worst = 0.0
@@ -270,12 +266,10 @@ def test_gradients_with_dropout_match_masked_finite_differences():
 
             def loss_at(v):
                 flat[i] = v
-                # train-mode forward with the pinned seed
-                from risopt.cnn import _forward_pass  # noqa: PLC0415
-                out, _ = _forward_pass(model, x, "train",
-                                       np.random.default_rng(seed))
+                # training forward pass with the pinned seed
+                out = model_forward(model, x, rng_seed=seed)
                 flat[i] = orig
-                return mse_loss(out[:, :, 0], target)
+                return mse_loss(out, target)
 
             fd = (loss_at(orig + h) - loss_at(orig - h)) / (2 * h)
             an = analytic[pi].reshape(-1)[i]
@@ -299,12 +293,38 @@ def test_backward_seed_determinism():
                        dtype=np.float64)
     x = rng.standard_normal((6, 6, 2))
     t = rng.standard_normal((6, 6))
-    g1 = model_backward(model, x, t, mode="train", rng_seed=42)
-    g2 = model_backward(model, x, t, mode="train", rng_seed=42)
-    g3 = model_backward(model, x, t, mode="train", rng_seed=43)
+    g1 = model_backward(model, x, t, rng_seed=42)
+    g2 = model_backward(model, x, t, rng_seed=42)
+    g3 = model_backward(model, x, t, rng_seed=43)
     for a, b in zip(g1, g2):
         np.testing.assert_array_equal(a, b)
     assert any(not np.array_equal(a, b) for a, b in zip(g1, g3))
+
+
+def test_unseeded_backward_is_the_dropout_free_gradient():
+    # a model without dropout layers has the same gradients under any seed
+    rng = np.random.default_rng(18)
+    model = make_model(19, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
+                       dtype=np.float64)
+    plain = Model(model.copy().convs)
+    x = rng.standard_normal((6, 6, 2))
+    t = rng.standard_normal((6, 6))
+    for a, b in zip(model_backward(model, x, t), model_backward(plain, x, t, rng_seed=42)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_training_loss_is_mse_loss_of_the_same_pass(dtype, seed):
+    rng = np.random.default_rng(23)
+    model = make_model(24, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,), dtype=dtype)
+    x = rng.standard_normal((6, 6, 2)).astype(dtype)
+    t = np.sign(rng.standard_normal((6, 6))).astype(dtype)
+    rng = None if seed is None else np.random.default_rng(seed)
+    loss, _ = cnn._loss_and_grads(model, x, t, rng)
+    assert loss == mse_loss(model_forward(model, x, rng_seed=seed), t)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cnn._loss_and_grads(model, x, t[:5], None)
 
 
 # ---------------------------------------------------------------- dropout
@@ -313,28 +333,28 @@ def test_train_mode_dropout_varies_with_seed():
     model = make_model(20, channels=(2, 4, 1), kernels=(3, 3), dropout_after=(1,),
                        dtype=np.float64)
     x = np.ones((6, 6, 2))
-    a = model_forward(model, x, "train", rng_seed=0)
-    b = model_forward(model, x, "train", rng_seed=0)
-    c = model_forward(model, x, "train", rng_seed=1)
+    a = model_forward(model, x, rng_seed=0)
+    b = model_forward(model, x, rng_seed=0)
+    c = model_forward(model, x, rng_seed=1)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_dropout_expectation_matches_eval():
     # Linear probe (1x1 conv, tiny weights, so tanh is ~identity):
-    # averaging many seeded train-mode passes converges to the eval pass.
+    # averaging many seeded training passes converges to the unseeded pass.
     rng = np.random.default_rng(21)
     w = np.zeros((1, 1, 2, 1))
     w[0, 0, :, 0] = 0.01
-    model = Model([ConvLayer(w, np.zeros(1))], dropout_after=(1,), dropout_rate=0.2)
+    model = Model([ConvLayer(w, np.zeros(1))], dropout_after=(1,))
     # both channels share a sign per cell so the channel sum stays away
     # from zero and the elementwise relative bound is meaningful
     x = rng.uniform(0.3, 0.5, (4, 4, 2)) * rng.choice([-1, 1], (4, 4, 1))
-    ref = model_forward(model, x, "eval")
+    ref = model_forward(model, x)
     acc = np.zeros_like(ref)
     n = 10_000
     for seed in range(n):
-        acc += model_forward(model, x, "train", rng_seed=seed)
+        acc += model_forward(model, x, rng_seed=seed)
     avg = acc / n
     assert np.all(np.abs(avg - ref) <= 0.02 * np.abs(ref))
 

@@ -386,6 +386,33 @@ def test_splits_file_matches_split_function(tmp_path):
     assert load_splits(tmp_path) == split_dataset(6, manifest.split_ratios, 4)
 
 
+@pytest.mark.parametrize("edit", ["overlap", "moved", "missing"])
+def test_splits_must_partition_the_samples_in_the_manifest_counts(tmp_path, edit):
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    splits = load_splits(tmp_path)  # 4 train, 1 val, 1 test
+    if edit == "overlap":  # the counted sizes, with one sample twice
+        splits["train"][0] = splits["test"][0]
+    elif edit == "moved":  # every sample once, in other sizes
+        splits["val"].append(splits["train"].pop())
+    else:
+        splits["train"].pop()
+    (tmp_path / "splits.json").write_text(json.dumps(splits), encoding="utf-8")
+    with pytest.raises(ValueError, match="the splits must hold each of the 6 samples once"):
+        load_splits(tmp_path)
+
+
+def test_record_shapes_must_match_the_manifest_surface(tmp_path):
+    geom, tx = small_setup(5, 4)  # 4 rows, 5 columns
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    for name in ("inputs.rist", "targets.rist"):
+        records = load_tensors(tmp_path / name)
+        save_tensors(tmp_path / name, [np.ascontiguousarray(r.swapaxes(0, 1)) for r in records])
+    with pytest.raises(ValueError, match=re.escape("tensor files do not match the manifest "
+                                                   "geometry (4 rows, 5 columns)")):
+        load_arrays(tmp_path)
+
+
 def test_generate_sample_orientations():
     geom, tx = small_setup(3, 5)
     h = compute_illumination(geom, tx)
