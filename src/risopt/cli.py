@@ -30,6 +30,7 @@ from risopt.cnn import (
 )
 from risopt.data import (
     DEFAULT_SPLIT,
+    MAX_DATASET_BYTES,
     MAX_ELEMENTS,
     SPLIT_NAMES,
     AngularGrid,
@@ -300,6 +301,11 @@ def cmd_generate(args) -> int:
                            args.grid_el[0], args.grid_el[1], args.grid_step)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --grid-az, --grid-el and --grid-step") from None
+    if grid.num_points * args.ris_m * args.ris_n * 12 > MAX_DATASET_BYTES:
+        raise _UsageError(f"{grid.num_points} samples of --ris-m {args.ris_m} x --ris-n "
+                          f"{args.ris_n} elements need more than the {MAX_DATASET_BYTES} B of "
+                          "records a dataset may hold (12 B per element and sample); check "
+                          "--ris-m, --ris-n, --grid-az, --grid-el and --grid-step")
     # the directory is made only after the sweep, so check what is in its way
     found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
     if not found.is_dir():
@@ -376,8 +382,7 @@ def cmd_eval(args) -> int:
     report = evaluate_split(args.data, model, args.split,
                             noise_snr_db=args.snr_db, noise_seed=args.seed or 0)
     report.to_csv(report_out)
-    summary_path = report_out.parent / (report_out.stem + "_summary.json")
-    report.save_summary(summary_path)
+    _write_json(report_out.parent / (report_out.stem + "_summary.json"), report.summary)
     for method in ("gim", "cnn"):
         s = report.summary[method]
         band = s["band45_mean_gap_db"]

@@ -266,7 +266,8 @@ def _check_shape(model: Model, shape: tuple) -> None:
     if len(shape) != 3 or shape[2] != model.in_channels:
         raise ValueError(f"input must be (H, W, {model.in_channels}), got {shape}")
     if min(shape[0], shape[1]) < model.min_spatial:
-        raise ValueError("input smaller than the largest kernel")
+        raise ValueError(f"input {shape} is smaller than the largest kernel "
+                         f"({model.min_spatial}x{model.min_spatial})")
 
 
 def _check_input(model: Model, x: np.ndarray) -> np.ndarray:

@@ -59,6 +59,10 @@ MAX_GRID_POINTS = 10**7  # about 460x the 1-degree default sweep; pattern arrays
 # the largest per-element array is a batched chunk's complex flips, 16 B x
 # BATCH_ANGLES = 2 KiB per element: 2**18 elements (512x512) take 0.5 GiB
 MAX_ELEMENTS = 2**18
+# a dataset's float32 records take 12 B per element and sample (2 input
+# values, 1 target), all held at once: the paper's 1-degree sweep at 40x40
+# is 21,901 x 1,600 x 12 B = 420 MB, and 2**32 B (4.3 GB) is about 10x that
+MAX_DATASET_BYTES = 2**32
 
 
 def _count(start: float, stop: float, step: float) -> int:
@@ -342,15 +346,17 @@ def load_arrays(data_dir):
     The model casts them to its own dtype."""
     from risopt.tensorfile import load_tensors
 
+    def stacked(name):  # its record list dies on return, before the next file is read
+        records = load_tensors(data_dir / name)
+        return np.stack(records) if records else np.empty(0, "<f4")
+
     data_dir = Path(data_dir)
-    inputs = load_tensors(data_dir / "inputs.rist")
-    targets = load_tensors(data_dir / "targets.rist")
+    inputs, targets = stacked("inputs.rist"), stacked("targets.rist")
     manifest = load_manifest(data_dir)
     total = manifest.counts["total"]
     if not len(inputs) == len(targets) == total:
         raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "
                          f"records, but its manifest counts {total} samples")
-    inputs, targets = np.stack(inputs), np.stack(targets)
     side = (manifest.geometry.n_rows, manifest.geometry.m_cols)
     if inputs.shape[1:] != (*side, 2) or targets.shape[1:] != side:
         raise ValueError(f"{data_dir}: tensor files do not match the manifest geometry "

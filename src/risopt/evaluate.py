@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from risopt.cnn import Model, pm1_to_states, predict_config, stripe_states
-from risopt.data import _write_json, load_arrays, load_manifest, load_sample_rows, load_splits
+from risopt.cnn import Model, _check_shape, pm1_to_states, predict_config, stripe_states
+from risopt.data import SPLIT_NAMES, load_arrays, load_manifest, load_sample_rows, load_splits
 from risopt.optimizers import combine_stripes
 from risopt.physics import (
     PhaseConfig,
@@ -49,9 +49,6 @@ class EvalReport:
             lines.append(",".join(repr(float(row[c])) for c in CSV_COLUMNS))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def save_summary(self, path) -> None:
-        _write_json(Path(path), self.summary)
-
 
 def _summarize(rows: list) -> dict:
     elev = np.array([r["elevation_deg"] for r in rows])
@@ -81,20 +78,21 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
     manifest geometry, so the report is self-contained.  With
     ``noise_snr_db`` set, powers come from a seeded noisy link simulation
     (1000 unit symbols at that SNR relative to the reference config)
-    instead of the noiseless formula.
+    instead of the noiseless formula.  The split name, then the model's
+    fit to the surface, then the split's size are checked before any
+    record is read.
     """
+    if split not in SPLIT_NAMES:
+        raise ValueError(f"unknown split {split!r}; expected one of {', '.join(SPLIT_NAMES)}")
     manifest = load_manifest(data_dir)
+    geom = manifest.geometry
+    _check_shape(model, (geom.n_rows, geom.m_cols, 2))
     splits = load_splits(data_dir)
-    if split not in splits:
-        raise ValueError(f"unknown split {split!r}")
     if not splits[split]:
         raise ValueError(f"split {split!r} of {data_dir} has no samples to score")
     sample_rows = load_sample_rows(data_dir)
     inputs, targets = load_arrays(data_dir)
-    if model.in_channels != 2:
-        raise ValueError("model does not take 2-channel stripe inputs")
 
-    geom = manifest.geometry
     h = compute_illumination(geom, manifest.tx, flat_tx_phase=manifest.flat_tx_phase)
 
     rows = []

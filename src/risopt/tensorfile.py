@@ -15,10 +15,9 @@ trailing bytes that are not a full record) raises
 :class:`TensorFormatError` and no partial data is returned.
 """
 
-from __future__ import annotations
-
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +43,6 @@ def save_tensors(path, tensors) -> None:
     records = []
     for arr in tensors:
         arr = np.asarray(arr, dtype="<f4", order="C")
-        if arr.ndim > 255:
-            raise ValueError("tensor rank exceeds the u8 header field")
         if any(d >= 2**32 for d in arr.shape):
             raise ValueError("tensor dimension exceeds the u32 header field")
         records.append(arr)
@@ -57,33 +54,29 @@ def save_tensors(path, tensors) -> None:
 
 
 def load_tensors(path) -> list:
-    """Read every record of a tensor file; inverse of :func:`save_tensors`."""
-    data = Path(path).read_bytes()
+    """Read every record of a tensor file; inverse of :func:`save_tensors`.
+    Each record is read straight into its own array once its size fits what
+    the file has left; a path that is not a regular file reads as no records."""
     out = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < _HEADER.size:
-            raise TensorFormatError(f"truncated record header at byte {offset}")
-        magic, version, rank = _HEADER.unpack_from(data, offset)
-        if magic != MAGIC:
-            raise TensorFormatError(f"bad magic {magic!r} at byte {offset}")
-        if version != FORMAT_VERSION:
-            raise TensorFormatError(f"unsupported format version {version}")
-        offset += _HEADER.size
-        if total - offset < 4 * rank:
-            raise TensorFormatError("truncated dimension list")
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        count = 1
-        for d in dims:
-            count *= d
-        nbytes = 4 * count
-        if total - offset < nbytes:
-            raise TensorFormatError(
-                f"payload needs {nbytes} bytes, file has {total - offset} left"
-            )
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        out.append(arr.reshape(dims).copy())
-        offset += nbytes
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        while size and (offset := f.tell()) < size:  # a pipe cannot tell
+            header = f.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise TensorFormatError(f"truncated record header at byte {offset}")
+            magic, version, rank = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise TensorFormatError(f"bad magic {magic!r} at byte {offset}")
+            if version != FORMAT_VERSION:
+                raise TensorFormatError(f"unsupported format version {version}")
+            raw = f.read(4 * rank)
+            if len(raw) < 4 * rank:
+                raise TensorFormatError("truncated dimension list")
+            dims = struct.unpack(f"<{rank}I", raw)
+            if 4 * math.prod(dims) > size - f.tell():
+                raise TensorFormatError(f"record at byte {offset}: {dims} overruns the file")
+            arr = np.empty(dims, "<f4")
+            if f.readinto(arr) != arr.nbytes:
+                raise TensorFormatError(f"record at byte {offset}: the file ends inside it")
+            out.append(arr)
     return out

@@ -828,3 +828,38 @@ def test_generate_refuses_a_surface_below_the_largest_kernel(tmp_path, capsys, m
         f"error: --ris-m {m} x --ris-n {n} is smaller than the network's largest "
         "kernel (5); give both at least 5\n")
     assert list(tmp_path.iterdir()) == []
+
+
+_RLIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from risopt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_generate_refuses_a_dataset_whose_records_cannot_fit(tmp_path):
+    # 21,901 angles x 512 x 512 elements x 12 B is about 69 GB of records; the
+    # child's 2 GiB address space turns a missing check into a MemoryError
+    # instead of a sweep that runs for days
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "ds"
+    proc = subprocess.run([sys.executable, "-c", _RLIMITED, "generate", "--ris-m", "512",
+                           "--ris-n", "512", "--out", str(out)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == (
+        "error: 21901 samples of --ris-m 512 x --ris-n 512 elements need more than the "
+        "4294967296 B of records a dataset may hold (12 B per element and sample); check "
+        "--ris-m, --ris-n, --grid-az, --grid-el and --grid-step\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bound, code", [(1536, 0), (1535, 2)])
+def test_generate_record_bound_is_inclusive(tmp_path, capsys, monkeypatch, bound, code):
+    # 2 angles x 8 x 8 elements x 12 B = 1536 B
+    monkeypatch.setattr(cli, "MAX_DATASET_BYTES", bound)
+    assert main(["generate", *BASE, "--grid-az", "0,20", "--grid-el", "0,0",
+                 "--grid-step", "20", "--out", str(tmp_path / "ds")]) == code
+    assert ("--grid-step\n" in capsys.readouterr().err) == (code == 2)
+    assert (tmp_path / "ds").exists() == (code == 0)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,22 @@ def test_generate_rejects_bad_split_before_the_sweep(tmp_path):
     with pytest.raises(ValueError, match="ratios must sum to 1"):
         generate_dataset(geom, tx, 10.0, AngularGrid(), out, split_ratios=(0.5, 0.2, 0.2))
     assert not out.exists()
+
+
+def test_load_arrays_holds_no_file_twice(tmp_path):
+    # each file is stacked before the next is read: the peak is the inputs
+    # twice over (4/3 of the result) plus per-record objects, where reading
+    # both files before stacking them peaks at twice the result
+    geom, tx = small_setup(16, 16)
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 90.0, 0.0, 90.0, 10.0), tmp_path)
+    tracemalloc.start()
+    try:
+        inputs, targets = load_arrays(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inputs) == 100
+    assert peak <= 1.5 * (inputs.nbytes + targets.nbytes)
 
 
 def test_load_arrays_names_an_empty_record_file(tmp_path, capsys):

@@ -5,6 +5,8 @@ the horizontal-stripe expansion so a center-tap model reproduces them
 exactly; that pins the CNN gap at a bitwise 0.0 without any training.
 """
 
+import json
+import re
 import shutil
 from pathlib import Path
 
@@ -13,7 +15,14 @@ import pytest
 
 from risopt import evaluate
 from risopt.cnn import ConvLayer, Model, pm1_to_states
-from risopt.data import AngularGrid, generate_dataset, load_arrays, load_manifest, load_splits
+from risopt.data import (
+    AngularGrid,
+    _write_json,
+    generate_dataset,
+    load_arrays,
+    load_manifest,
+    load_splits,
+)
 from risopt.evaluate import (
     CSV_COLUMNS,
     _summarize,
@@ -170,12 +179,10 @@ def test_csv_round_trip_and_determinism(real_dir, tmp_path):
 
 
 def test_summary_json_deterministic(real_dir, tmp_path):
-    report = evaluate_split(real_dir, center_tap_model(), "train")
-    path_a = tmp_path / "a.json"
-    path_b = tmp_path / "b.json"
-    report.save_summary(path_a)
-    report.save_summary(path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    summaries = [evaluate_split(real_dir, center_tap_model(), "train").summary for _ in "ab"]
+    for path, summary in zip((tmp_path / "a.json", tmp_path / "b.json"), summaries):
+        _write_json(path, summary)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_load_report_csv_rejects_bad_header(tmp_path):
@@ -229,6 +236,26 @@ def test_empty_split_rejected_before_tensors_load(tmp_path, monkeypatch):
     monkeypatch.setattr(evaluate, "load_arrays", no_load)
     with pytest.raises(ValueError, match="split 'test' of .* has no samples"):
         evaluate_split(tmp_path, center_tap_model(), "test")
+
+
+def test_split_outside_the_split_names_rejected(real_dir, tmp_path):
+    # load_splits checks only train, val and test; an extra key is not a split
+    extra = tmp_path / "extra"
+    shutil.copytree(real_dir, extra)
+    splits = load_splits(extra)
+    (extra / "splits.json").write_text(json.dumps({**splits, "extra": [999]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown split 'extra'; expected one of train, val, test"):
+        evaluate_split(extra, center_tap_model(), "extra")
+
+
+def test_kernel_larger_than_the_surface_rejected_before_records_load(real_dir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluate, "load_arrays", lambda data_dir: calls.append(data_dir))
+    wide = Model([ConvLayer(np.zeros((9, 9, 2, 1)), np.zeros(1))])  # the surface is 6x6
+    with pytest.raises(ValueError, match=re.escape("input (6, 6, 2) is smaller than the "
+                                                   "largest kernel (9x9)")):
+        evaluate_split(real_dir, wide, "test")
+    assert calls == []
 
 
 def test_wrong_input_channels_rejected(real_dir):

@@ -1,5 +1,6 @@
 """Tensor container round trips and byte-level layout checks."""
 
+import os
 import struct
 
 import numpy as np
@@ -126,6 +127,29 @@ def test_declared_count_exceeds_payload(tmp_path):
     )
     with pytest.raises(TensorFormatError):
         load_tensors(path)
+
+
+def test_header_claiming_more_than_memory(tmp_path):
+    # (2**32 - 1)**2 floats is about 74 EB: the claim is checked against the
+    # file's size before any array is allocated
+    path = tmp_path / "huge.rist"
+    path.write_bytes(b"RIST" + struct.pack("<HBII", 1, 2, 2**32 - 1, 2**32 - 1)
+                     + struct.pack("<2f", 1.0, 2.0))
+    with pytest.raises(TensorFormatError, match="overruns the file"):
+        load_tensors(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_path_that_is_not_a_regular_file_reads_as_no_records(tmp_path):
+    # a pipe reports no size, so its records are not walked
+    save_tensors(tmp_path / "one.rist", [np.ones(3, dtype=np.float32)])
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (tmp_path / "one.rist").read_bytes())
+        os.close(write_end)
+        assert load_tensors(f"/dev/fd/{read_end}") == []
+    finally:
+        os.close(read_end)
 
 
 def test_trailing_garbage(tmp_path):
