@@ -35,6 +35,7 @@ from risopt.data import (
     SPLIT_NAMES,
     AngularGrid,
     _write_json,
+    check_split_ratios,
     generate_dataset,
     load_arrays,
     load_manifest,
@@ -95,27 +96,17 @@ def _frequency_ghz(text: str) -> float:
     return value
 
 
-def _split(text: str) -> tuple:
-    """argparse type: three finite ratios, each >= 0, summing to 1."""
-    ratios = _floats(3)(text)
-    if not all(math.isfinite(r) and r >= 0 for r in ratios):
-        raise argparse.ArgumentTypeError(f"ratios must be finite and >= 0, got {text!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError(f"ratios must sum to 1, got {sum(ratios)}")
-    return ratios
-
-
-def _angle(name: str):
-    """argparse type: a receiver ``elevation_deg`` or ``azimuth_deg`` in the
-    range ``RxSpec`` accepts."""
-    def parse(text: str) -> float:
-        value = _number()(text)
+def _checked(parse, rule):
+    """argparse type: ``parse`` the text, then apply the library's ``rule`` to
+    the value; the rule's ``ValueError`` becomes the flag's error."""
+    def check(text: str):
+        value = parse(text)
         try:
-            _check_angles("rx", **{name: value})
+            rule(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    return parse
+    return check
 
 
 @functools.cache
@@ -173,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="elevation range in degrees (default %g,%g)" % el)
     p.add_argument("--grid-step", type=positive, default=grid.step_deg,
                    help="grid step in degrees (default %(default)g)")
-    p.add_argument("--split", type=_split, default=DEFAULT_SPLIT, metavar="TR,VA,TE",
+    p.add_argument("--split", type=_checked(_floats(3), check_split_ratios),
+                   default=DEFAULT_SPLIT, metavar="TR,VA,TE",
                    help="split ratios, >= 0 and summing to 1 (default %g,%g,%g)" % DEFAULT_SPLIT)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_generate)
@@ -209,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[shared],
                        help="optimize one receiver position and save the config")
     p.add_argument("--method", required=True, choices=("im", "gim", "cnn"))
-    p.add_argument("--el", type=_angle("elevation_deg"), required=True,
-                   help="receiver elevation in degrees, in [-90, 90]")
-    p.add_argument("--az", type=_angle("azimuth_deg"), required=True,
-                   help="receiver azimuth in degrees, in [0, 360)")
+    p.add_argument("--el", type=_checked(_number(), lambda el: _check_angles("rx", el)),
+                   required=True, help="receiver elevation in degrees, in [-90, 90]")
+    p.add_argument("--az", type=_checked(_number(), lambda az: _check_angles("rx", 0.0, az)),
+                   required=True, help="receiver azimuth in degrees, in [0, 360)")
     p.add_argument("--weights", help="weights file (cnn method only)")
     p.add_argument("--config-out", default=None,
                    help="config tensor file (default config_METHOD.rist)")
@@ -444,11 +436,11 @@ def cmd_pattern(args) -> int:
     if len(records) != 1 or records[0].shape != (geom.n_rows, geom.m_cols):
         raise ValueError(f"{args.config} does not match the geometry: expected a single "
                          f"({geom.n_rows}, {geom.m_cols}) config record")
-    values = records[0]
-    if not np.all((values == 0) | (values == 1)):
+    try:
+        cfg = PhaseConfig(records[0])
+    except ValueError:
         raise ValueError(f"{args.config} holds values that are not phase state "
-                         "indices: each element is 0 (0 degrees) or 1 (180 degrees)")
-    cfg = PhaseConfig(values.astype(np.int64))
+                         "indices: each element is 0 (0 degrees) or 1 (180 degrees)") from None
 
     pat = radiation_pattern(geom, h, cfg,
                             grid.elevation_values(), grid.azimuth_values())

@@ -10,13 +10,13 @@ a time.  A dataset directory holds:
 
     inputs.rist   one (H, W, 2) float32 record per sample
     targets.rist  one (H, W) float32 record per sample
-    samples.json  per-sample angles and float64 objectives
+    samples.json  per-sample angles and float64 objectives, for readers
     splits.json   train/val/test index lists
     manifest.json geometry, transmitter, grid, split and count metadata
 
-Samples are ordered azimuth-major: the azimuth sweep is the slow axis,
-elevation the fast one.  Everything is deterministic for fixed inputs,
-so regeneration is byte-identical.
+Samples are ordered azimuth-major (the azimuth sweep is the slow axis),
+so sample i lies at the grid's point i.  Everything is deterministic for
+fixed inputs, so regeneration is byte-identical.
 """
 
 from __future__ import annotations
@@ -137,6 +137,11 @@ class DatasetManifest:
     counts: dict
     flat_tx_phase: bool = False
 
+    def __post_init__(self):
+        if self.counts["total"] != self.grid.num_points:  # sample i is the grid's point i
+            raise ValueError(f"manifest counts {self.counts['total']} samples, but its grid "
+                             f"has {self.grid.num_points} points")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["split"] = {"ratios": d.pop("split_ratios"), "seed": d.pop("split_seed")}
@@ -158,7 +163,7 @@ class DatasetManifest:
             # older manifests also carry an unused tx_power_amp, which is ignored
             tx=_entry(d, "tx", lambda t: TxSpec(t["distance"], t["elevation_deg"],
                                                t["azimuth_deg"])),
-            rx_distance_m=_entry(d, "rx_distance_m", float),
+            rx_distance_m=_entry(d, "rx_distance_m", lambda r: RxSpec(float(r)).distance),
             grid=_entry(d, "grid", lambda g: AngularGrid(**g)),
             split_ratios=_entry(d, "split", lambda s: tuple(s["ratios"])),
             split_seed=_entry(d, "split", lambda s: int(s["seed"])),
@@ -184,6 +189,16 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def check_split_ratios(ratios) -> None:
+    """The split rule: three finite ratios, each >= 0, summing to 1."""
+    if len(ratios) != 3:
+        raise ValueError(f"need three ratios, got {len(ratios)}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and >= 0, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def split_dataset(count: int, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
     """Seeded uniform shuffle split into train/val/test index lists.
 
@@ -194,10 +209,7 @@ def split_dataset(count: int, ratios=DEFAULT_SPLIT, seed: int = 0) -> dict:
     if count < 1:
         raise ValueError("nothing to split")
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(not r >= 0 for r in ratios):
-        raise ValueError("need three non-negative ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_split_ratios(ratios)
 
     n_val = int(math.floor(ratios[1] * count))
     n_test = int(math.floor(ratios[2] * count))
@@ -328,16 +340,6 @@ def load_splits(data_dir) -> dict:
         raise ValueError(f"{path}: the splits must hold each of the {total} samples once, "
                          f"in the manifest's counts {counts}")
     return splits
-
-
-def load_sample_rows(data_dir) -> list:
-    """Per-sample angles and objectives, one row for each of the manifest's samples."""
-    total = load_manifest(data_dir).counts["total"]
-    path = Path(data_dir) / "samples.json"
-    rows = json.loads(path.read_text(encoding="utf-8"))
-    if not (isinstance(rows, list) and len(rows) == total):
-        raise ValueError(f"{path} must hold one row for each of the manifest's {total} samples")
-    return rows
 
 
 def load_arrays(data_dir):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from risopt.cnn import Model, _check_shape, pm1_to_states, predict_config, stripe_states
-from risopt.data import SPLIT_NAMES, load_arrays, load_manifest, load_sample_rows, load_splits
+from risopt.data import SPLIT_NAMES, load_arrays, load_manifest, load_splits
 from risopt.optimizers import combine_stripes
 from risopt.physics import (
     PhaseConfig,
@@ -75,7 +75,7 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
     The model scores each stored input image as it is; the stripe pair
     for the combined config is decoded from that image and the reference
     config from the stored target.  Channels are recomputed from the
-    manifest geometry, so the report is self-contained.  With
+    manifest's geometry at its grid's angles, sample i at point i.  With
     ``noise_snr_db`` set, powers come from a seeded noisy link simulation
     (1000 unit symbols at that SNR relative to the reference config)
     instead of the noiseless formula.  The split name, then the model's
@@ -90,15 +90,14 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
     splits = load_splits(data_dir)
     if not splits[split]:
         raise ValueError(f"split {split!r} of {data_dir} has no samples to score")
-    sample_rows = load_sample_rows(data_dir)
+    points = list(manifest.grid.points())  # sample i is the grid's point i
     inputs, targets = load_arrays(data_dir)
 
     h = compute_illumination(geom, manifest.tx, flat_tx_phase=manifest.flat_tx_phase)
 
     rows = []
     for idx in splits[split]:
-        meta = sample_rows[idx]
-        az, el = meta["azimuth_deg"], meta["elevation_deg"]
+        az, el = points[idx]
         ch = compute_channels(geom, h, RxSpec(manifest.rx_distance_m, el, az))
         ref = PhaseConfig(pm1_to_states(targets[idx]))
         combined = combine_stripes(*stripe_states(inputs[idx]))

@@ -69,6 +69,13 @@ def _check_angles(name: str, elevation_deg: float = 0.0, azimuth_deg: float = 0.
         raise ValueError(f"{name} azimuth {azimuth_deg} must lie in [0, 360) degrees")
 
 
+def _check_placement(name: str, spec) -> None:
+    """A transmitter or receiver: a finite distance > 0, angles in range."""
+    if not (np.isfinite(spec.distance) and spec.distance > 0):
+        raise ValueError(f"{name} distance {spec.distance} must be finite and > 0")
+    _check_angles(name, spec.elevation_deg, spec.azimuth_deg)
+
+
 @dataclass(frozen=True)
 class RisGeometry:
     """Element counts, lattice spacings, and carrier of the surface."""
@@ -121,9 +128,7 @@ class TxSpec:
     azimuth_deg: float = 0.0
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("tx distance must be > 0")
-        _check_angles("tx", self.elevation_deg, self.azimuth_deg)
+        _check_placement("tx", self)
 
     def position(self) -> np.ndarray:
         u, v = direction_cosines(self.elevation_deg, self.azimuth_deg)
@@ -139,9 +144,7 @@ class RxSpec:
     azimuth_deg: float = 0.0
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("rx distance must be > 0")
-        _check_angles("rx", self.elevation_deg, self.azimuth_deg)
+        _check_placement("rx", self)
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,12 @@ class PhaseConfig:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
+        states = np.asarray(self.states)
         if states.ndim != 2:
             raise ValueError("states must be a 2-D matrix")
-        if states.size and (states.min() < 0 or states.max() > 1):
+        if not np.all((states == 0) | (states == 1)):  # checked before the integer cast
             raise ValueError("states must be 0 or 1")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", states.astype(np.int64, copy=False))
 
     @property
     def shape(self) -> tuple:

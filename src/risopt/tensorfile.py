@@ -17,6 +17,7 @@ trailing bytes that are not a full record) raises
 
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -54,13 +55,15 @@ def save_tensors(path, tensors) -> None:
 
 
 def load_tensors(path) -> list:
-    """Read every record of a tensor file; inverse of :func:`save_tensors`.
-    Each record is read straight into its own array once its size fits what
-    the file has left; a path that is not a regular file reads as no records."""
+    """Read every record of a tensor file; inverse of :func:`save_tensors`,
+    each record straight into its own array once its size fits what the
+    file has left.  A path that is not a regular file is refused unopened."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # opening a FIFO with no writer blocks
+        raise TensorFormatError(f"{path} is not a regular file")
     out = []
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        while size and (offset := f.tell()) < size:  # a pipe cannot tell
+        while (offset := f.tell()) < size:
             header = f.read(_HEADER.size)
             if len(header) < _HEADER.size:
                 raise TensorFormatError(f"truncated record header at byte {offset}")

@@ -234,6 +234,44 @@ def test_eval_seed_draws_only_the_noisy_link(pipeline, tmp_path):
     assert default != noisy("seed7", "--seed", "7")
 
 
+def _shift_azimuths(samples):
+    rows = json.loads(samples.read_text(encoding="utf-8"))
+    shifted = [{**row, "azimuth_deg": row["azimuth_deg"] + 90.0} for row in rows]
+    samples.write_text(json.dumps(shifted), encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit", [Path.unlink, _shift_azimuths],
+                         ids=["deleted", "azimuths_shifted_90"])
+def test_eval_takes_angles_from_the_manifest_grid_not_samples_json(pipeline, tmp_path, edit):
+    ds = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], ds)
+    edit(ds / "samples.json")
+    written = []
+    for data, out in ((pipeline["dataset"], tmp_path / "kept"), (ds, tmp_path / "edited")):
+        assert main(["eval", "--data", str(data), "--weights", str(pipeline["weights"]),
+                     "--split", "train", "--report-out", str(out / "report.csv")]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("report.csv", "report_summary.json")])
+    assert written[0] == written[1]
+
+
+def test_eval_infinite_rx_distance_in_manifest_is_refused(pipeline, tmp_path, capsys):
+    # an infinite receiver distance scored every power at DB_FLOOR and every gap at 0
+    ds = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], ds)
+    manifest = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
+    manifest["rx_distance_m"] = float("inf")  # json writes it as Infinity
+    (ds / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    code = main(["eval", "--data", str(ds), "--weights", str(pipeline["weights"]),
+                 "--report-out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "manifest entry 'rx_distance_m' is malformed" in err
+    assert "rx distance inf must be finite and > 0" in err
+    assert not report.exists()
+
+
 def test_eval_missing_weights_is_runtime_error(pipeline, capsys):
     code = main(["eval", "--data", str(pipeline["dataset"]),
                  "--weights", str(pipeline["root"] / "nothing.rist"),

@@ -20,7 +20,6 @@ from risopt.data import (
     generate_sample,
     load_arrays,
     load_manifest,
-    load_sample_rows,
     load_splits,
     split_dataset,
 )
@@ -162,9 +161,12 @@ def test_split_ratio_validation():
         split_dataset(10, (0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         split_dataset(10, (0.8, -0.2, 0.4))
-    # NaN passes both a "< 0" test and the sum tolerance
-    with pytest.raises(ValueError, match="non-negative"):
-        split_dataset(10, (float("nan"), 0.5, 0.5))
+    # NaN passes both a "< 0" test and the sum tolerance; the words are the CLI's
+    for ratios in [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("inf"))]:
+        with pytest.raises(ValueError, match="ratios must be finite and >= 0"):
+            split_dataset(10, ratios)
+    with pytest.raises(ValueError, match="need three ratios, got 2"):
+        split_dataset(10, (0.5, 0.5))
     with pytest.raises(ValueError):
         split_dataset(0)
 
@@ -241,7 +243,7 @@ def test_generated_rows_follow_grid_order(tmp_path):
     geom, tx = small_setup()
     grid = AngularGrid(0.0, 20.0, 0.0, 10.0, 10.0)
     generate_dataset(geom, tx, 10.0, grid, tmp_path)
-    rows = load_sample_rows(tmp_path)
+    rows = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
     got = [(r["azimuth_deg"], r["elevation_deg"]) for r in rows]
     assert got == list(grid.points())
 
@@ -250,7 +252,7 @@ def test_stored_objectives_match_recomputation(tmp_path):
     geom, tx = small_setup()
     grid = AngularGrid(60.0, 120.0, -20.0, 20.0, 20.0)
     generate_dataset(geom, tx, 10.0, grid, tmp_path)
-    rows = load_sample_rows(tmp_path)
+    rows = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
     inputs, targets = load_arrays(tmp_path)
     h = compute_illumination(geom, tx)
     for i, row in enumerate(rows):
@@ -375,10 +377,19 @@ def test_per_sample_files_must_match_the_manifest_count(tmp_path):
     with pytest.raises(ValueError, match="holds 5 input and 5 target records, but its "
                                          "manifest counts 6 samples"):
         load_arrays(tmp_path)
-    rows = load_sample_rows(tmp_path)
-    (tmp_path / "samples.json").write_text(json.dumps(rows[:5]), encoding="utf-8")
-    with pytest.raises(ValueError, match="one row for each of the manifest's 6 samples"):
-        load_sample_rows(tmp_path)
+
+
+def test_manifest_count_must_match_the_grid(tmp_path):
+    # sample i lies at the grid's point i, so every index names a grid point
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    path = tmp_path / "manifest.json"
+    written = json.loads(path.read_text(encoding="utf-8"))
+    written["counts"]["total"] = 7
+    path.write_text(json.dumps(written), encoding="utf-8")
+    with pytest.raises(ValueError, match="manifest counts 7 samples, but its grid has 6 points"):
+        load_manifest(tmp_path)
+
 
 def test_splits_file_matches_split_function(tmp_path):
     geom, tx = small_setup()
@@ -495,7 +506,7 @@ def test_batched_sweep_writes_the_per_angle_bytes(tmp_path, count, flat):
     for name in ("inputs", "targets"):
         ref = (tmp_path / f"ref_{name}.rist").read_bytes()
         assert (tmp_path / f"{name}.rist").read_bytes() == ref, name
-    rows = load_sample_rows(tmp_path)
+    rows = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
     assert [(r["objective_im"], r["objective_gim"]) for r in rows] == [
         (objective(ch, PhaseConfig(ref)), objective(ch, combine_stripes(h_states, v_states)))
         for ch, h_states, v_states, ref in samples]

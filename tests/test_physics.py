@@ -127,6 +127,11 @@ def test_tx_rx_validation():
                 spec(10.0, el, az)
     for el, az in [(90.0, 0.0), (-90.0, 359.9)]:  # closed elevation ends
         assert RxSpec(10.0, el, az).elevation_deg == el
+    # RxSpec(inf) would build an all-zero channel, scored at DB_FLOOR
+    for spec, name in ((RxSpec, "rx"), (TxSpec, "tx")):
+        for distance in (float("inf"), float("nan"), -float("inf"), 0.0):
+            with pytest.raises(ValueError, match=f"{name} distance {distance} must be finite"):
+                spec(distance)
 
 
 def test_direction_unit_matches_oracle():
@@ -152,11 +157,15 @@ def test_phase_config_lookup_and_copy():
 
 
 def test_phase_config_validation():
-    for states in ([[0, 2]], [[-1, 0]]):
+    # the values are checked before the int64 cast, which turns 0.7 into 0
+    for states in ([[0, 2]], [[-1, 0]], np.full((2, 2), 0.7), [[0.0, 1.5]], [[1.0, np.nan]]):
         with pytest.raises(ValueError, match="states must be 0 or 1"):
             PhaseConfig(np.array(states))
     with pytest.raises(ValueError):
         PhaseConfig(np.array([0, 1]))  # not 2-D
+    cfg = PhaseConfig(np.array([[0.0, 1.0], [True, False]]))
+    assert cfg.states.dtype == np.int64
+    assert cfg.states.tolist() == [[0, 1], [1, 0]]
 
 
 # ---------------------------------------------------------------- illumination

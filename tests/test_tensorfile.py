@@ -2,6 +2,9 @@
 
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from risopt.tensorfile import TensorFormatError, load_tensors, save_tensors
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_round_trip_single(tmp_path):
@@ -140,16 +145,34 @@ def test_header_claiming_more_than_memory(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_a_path_that_is_not_a_regular_file_reads_as_no_records(tmp_path):
-    # a pipe reports no size, so its records are not walked
+def test_a_path_that_is_not_a_regular_file_is_refused(tmp_path):
+    # a pipe holding a whole valid file, and a directory
     save_tensors(tmp_path / "one.rist", [np.ones(3, dtype=np.float32)])
     read_end, write_end = os.pipe()
     try:
         os.write(write_end, (tmp_path / "one.rist").read_bytes())
         os.close(write_end)
-        assert load_tensors(f"/dev/fd/{read_end}") == []
+        for path in (f"/dev/fd/{read_end}", tmp_path):
+            with pytest.raises(TensorFormatError, match=f"{path} is not a regular file"):
+                load_tensors(path)
     finally:
         os.close(read_end)
+
+
+_READ = "import sys; from risopt.tensorfile import load_tensors; load_tensors(sys.argv[1])"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_with_no_writer_is_refused_without_blocking(tmp_path):
+    # opening a FIFO with no writer blocks, so the read runs in a child
+    # process: a hang fails the timeout instead of stalling the suite
+    fifo = tmp_path / "config.rist"
+    os.mkfifo(fifo)
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _READ, str(fifo)], capture_output=True,
+                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1
+    assert f"TensorFormatError: {fifo} is not a regular file" in proc.stderr
 
 
 def test_trailing_garbage(tmp_path):
