@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -268,14 +269,21 @@ def _check_dataset_flags(args) -> None:
                               f"whose manifest has {shown!r}")
 
 
+def _check_writable(directory: Path, text: str, flag: str) -> None:
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise _UsageError(f"{flag} {text}: directory {directory} is not writable")
+
+
 def _output(text: str, flag: str) -> Path:
     """``text`` as a Path, once its parent directory exists; a path whose
-    parent cannot be made is a usage error that names ``flag``."""
+    parent cannot be made or written is a usage error that names ``flag``."""
+    path = Path(text)
     try:
-        Path(text).parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _UsageError(f"{flag} {text}: {exc}") from None
-    return Path(text)
+    _check_writable(path.parent, text, flag)
+    return path
 
 
 def _stderr(line: str) -> None:
@@ -302,6 +310,7 @@ def cmd_generate(args) -> int:
     found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
     if not found.is_dir():
         raise _UsageError(f"--out {args.out}: {found} is not a directory")
+    _check_writable(found, args.out, "--out")
 
     def progress(done, total):
         if done == total or done % max(1, total // 20) == 0:
@@ -311,7 +320,7 @@ def cmd_generate(args) -> int:
         geom, tx, args.rx_dist, grid, args.out, split_ratios=args.split,
         split_seed=args.seed, flat_tx_phase=args.flat_tx_phase, progress=progress)
     counts = manifest.counts
-    print(f"samples={counts['total']} train={counts['train']} "
+    print(f"samples={manifest.grid.num_points} train={counts['train']} "
           f"val={counts['val']} test={counts['test']}")
     print(f"manifest={Path(args.out) / 'manifest.json'}")
     return 0
@@ -325,8 +334,14 @@ def cmd_train(args) -> int:
     splits = load_splits(args.data)
     inputs, targets = load_arrays(args.data)
     model = make_model(args.seed)
+    # each row is appended as its epoch ends, so a run that fails keeps the
+    # epochs it finished
+    history_path = weights_out.parent / (weights_out.stem + "_history.csv")
+    history_path.write_text("epoch,train_loss,val_loss\n", encoding="utf-8")
 
     def progress(epoch, train_loss, val_loss):
+        with history_path.open("a", encoding="utf-8") as f:
+            f.write(f"{epoch},{train_loss!r},{val_loss!r}\n")
         _stderr(f"epoch {epoch}/{cfg.max_epochs} train_loss={train_loss:.6g} "
                 f"val_loss={val_loss:.6g}")
 
@@ -339,10 +354,6 @@ def cmd_train(args) -> int:
     train_seconds = time.perf_counter() - t0
 
     save_model(weights_out, trained)
-    history_path = weights_out.parent / (weights_out.stem + "_history.csv")
-    lines = ["epoch,train_loss,val_loss"]
-    lines += [f"{e},{tl!r},{vl!r}" for e, tl, vl in history]
-    history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(weights_out.parent / (weights_out.stem + "_run.json"), {
         "data": str(args.data),
         "lr": cfg.lr,

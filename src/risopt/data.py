@@ -12,11 +12,12 @@ a time.  A dataset directory holds:
     targets.rist  one (H, W) float32 record per sample
     samples.json  per-sample angles and float64 objectives, for readers
     splits.json   train/val/test index lists
-    manifest.json geometry, transmitter, grid, split and count metadata
+    manifest.json geometry, transmitter, grid, split sizes, phase table
 
 Samples are ordered azimuth-major (the azimuth sweep is the slow axis),
-so sample i lies at the grid's point i.  Everything is deterministic for
-fixed inputs, so regeneration is byte-identical.
+so sample i lies at the grid's point i and the sample count is the
+grid's point count.  Everything is deterministic for fixed inputs, so
+regeneration is byte-identical.
 """
 
 from __future__ import annotations
@@ -126,25 +127,18 @@ class AngularGrid:
 @dataclass(frozen=True)
 class DatasetManifest:
     """Dataset metadata.  Every dataset uses the 0/180 table, the only one
-    the package has; the file still names it."""
+    the package has; the file still names it.  ``counts`` holds the split
+    sizes; the sample count is ``grid.num_points``."""
 
     geometry: RisGeometry
     tx: TxSpec
     rx_distance_m: float
     grid: AngularGrid
-    split_ratios: tuple
-    split_seed: int
     counts: dict
     flat_tx_phase: bool = False
 
-    def __post_init__(self):
-        if self.counts["total"] != self.grid.num_points:  # sample i is the grid's point i
-            raise ValueError(f"manifest counts {self.counts['total']} samples, but its grid "
-                             f"has {self.grid.num_points} points")
-
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["split"] = {"ratios": d.pop("split_ratios"), "seed": d.pop("split_seed")}
         d["phase_table"] = list(PHASE_TABLE)
         d["format_version"] = MANIFEST_VERSION
         return d
@@ -158,16 +152,16 @@ class DatasetManifest:
         if not isinstance(table, list) or tuple(table) != PHASE_TABLE:
             raise ValueError(f"unsupported phase table {table!r}; "
                              f"datasets use {list(PHASE_TABLE)}")
+        # older manifests also carry a split recipe (splits.json is the
+        # split), a total count (the grid's) and an unused tx_power_amp,
+        # which are ignored
         return cls(
             geometry=_entry(d, "geometry", lambda g: RisGeometry(**g)),
-            # older manifests also carry an unused tx_power_amp, which is ignored
             tx=_entry(d, "tx", lambda t: TxSpec(t["distance"], t["elevation_deg"],
                                                t["azimuth_deg"])),
             rx_distance_m=_entry(d, "rx_distance_m", lambda r: RxSpec(float(r)).distance),
             grid=_entry(d, "grid", lambda g: AngularGrid(**g)),
-            split_ratios=_entry(d, "split", lambda s: tuple(s["ratios"])),
-            split_seed=_entry(d, "split", lambda s: int(s["seed"])),
-            counts=_entry(d, "counts", lambda c: {k: int(c[k]) for k in ("total", *SPLIT_NAMES)}),
+            counts=_entry(d, "counts", lambda c: {k: int(c[k]) for k in SPLIT_NAMES}),
             flat_tx_phase=_entry(d, "flat_tx_phase", bool),
         )
 
@@ -295,10 +289,7 @@ def generate_dataset(
         tx=tx,
         rx_distance_m=float(rx_distance),
         grid=grid,
-        split_ratios=tuple(split_ratios),
-        split_seed=split_seed,
-        counts={"total": total, "train": len(splits["train"]),
-                "val": len(splits["val"]), "test": len(splits["test"])},
+        counts={name: len(splits[name]) for name in SPLIT_NAMES},
         flat_tx_phase=flat_tx_phase,
     )
 
@@ -325,10 +316,11 @@ def load_manifest(data_dir) -> DatasetManifest:
 
 def load_splits(data_dir) -> dict:
     """The train/val/test index lists, each index checked to be an integer
-    below the manifest's sample count, and the lists checked to hold every
-    sample once, in the sizes the manifest counts."""
-    counts = load_manifest(data_dir).counts
-    total = counts["total"]
+    below the sample count (the manifest grid's point count), and the lists
+    checked to hold every sample once, in the split sizes the manifest
+    counts."""
+    manifest = load_manifest(data_dir)
+    counts, total = manifest.counts, manifest.grid.num_points
     path = Path(data_dir) / "splits.json"
     splits = json.loads(path.read_text(encoding="utf-8"))
     for name in SPLIT_NAMES:
@@ -344,7 +336,7 @@ def load_splits(data_dir) -> dict:
 
 def load_arrays(data_dir):
     """The stored float32 records, stacked: (N, H, W, 2) inputs and
-    (N, H, W) targets, checked against the manifest's count and surface.
+    (N, H, W) targets, checked against the manifest's grid and surface.
     The model casts them to its own dtype."""
     from risopt.tensorfile import load_tensors
 
@@ -355,7 +347,7 @@ def load_arrays(data_dir):
     data_dir = Path(data_dir)
     inputs, targets = stacked("inputs.rist"), stacked("targets.rist")
     manifest = load_manifest(data_dir)
-    total = manifest.counts["total"]
+    total = manifest.grid.num_points
     if not len(inputs) == len(targets) == total:
         raise ValueError(f"{data_dir} holds {len(inputs)} input and {len(targets)} target "
                          f"records, but its manifest counts {total} samples")

@@ -135,11 +135,15 @@ def test_generate_out_of_range_grid_fails_fast(tmp_path, capsys, grid, angle):
 
 def test_generate_wrote_full_dataset(pipeline):
     manifest = load_manifest(pipeline["dataset"])
-    assert manifest.counts == {"total": 9, "train": 7, "val": 1, "test": 1}
+    assert manifest.counts == {"train": 7, "val": 1, "test": 1}
+    assert manifest.grid.num_points == 9
     assert manifest.geometry.m_cols == 8
     assert manifest.geometry.n_rows == 8
     written = json.loads((pipeline["dataset"] / "manifest.json").read_text(encoding="utf-8"))
     assert written["phase_table"] == [0.0, 180.0]
+    # splits.json is the split and the grid counts the samples
+    assert "split" not in written
+    assert written["counts"] == {"train": 7, "val": 1, "test": 1}
     for name in ("inputs.rist", "targets.rist", "samples.json",
                  "splits.json", "manifest.json"):
         assert (pipeline["dataset"] / name).exists()
@@ -250,6 +254,25 @@ def test_eval_takes_angles_from_the_manifest_grid_not_samples_json(pipeline, tmp
     for data, out in ((pipeline["dataset"], tmp_path / "kept"), (ds, tmp_path / "edited")):
         assert main(["eval", "--data", str(data), "--weights", str(pipeline["weights"]),
                      "--split", "train", "--report-out", str(out / "report.csv")]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("report.csv", "report_summary.json")])
+    assert written[0] == written[1]
+
+
+def test_manifest_in_the_older_format_still_loads_and_scores_alike(pipeline, tmp_path):
+    # older manifests stored the split recipe and a total count; both are
+    # ignored, unchecked ratios included
+    ds = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], ds)
+    old = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
+    old["counts"]["total"] = 9
+    old["split"] = {"ratios": [-5.0, 3.0, float("nan")], "seed": 1}
+    (ds / "manifest.json").write_text(json.dumps(old), encoding="utf-8")
+    assert load_manifest(ds) == load_manifest(pipeline["dataset"])
+    written = []
+    for data, out in ((pipeline["dataset"], tmp_path / "new"), (ds, tmp_path / "old")):
+        assert main(["eval", "--data", str(data), "--weights", str(pipeline["weights"]),
+                     "--report-out", str(out / "report.csv")]) == 0
         written.append([(out / name).read_bytes()
                         for name in ("report.csv", "report_summary.json")])
     assert written[0] == written[1]
@@ -459,6 +482,25 @@ def test_train_stops_on_non_finite_loss(pipeline, tmp_path, capsys):
                  "--max-epochs", "2", "--weights-out", str(weights)])
     assert code == 1
     assert "epoch 1: loss is not finite" in capsys.readouterr().err
+    assert not weights.exists()
+    history = tmp_path / "nan_history.csv"
+    assert history.read_text(encoding="utf-8") == "epoch,train_loss,val_loss\n"
+
+
+def test_train_that_fails_keeps_the_epochs_it_finished(pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+    # at paper scale an epoch takes minutes; its history row is written as it ends
+    def fails_in_epoch_2(model, train_set, val_set, cfg, progress):
+        progress(1, 0.5, 0.25)
+        raise ValueError("epoch 2: loss is not finite")
+
+    monkeypatch.setattr(cli, "train", fails_in_epoch_2)
+    weights = tmp_path / "net.rist"
+    assert main(["train", "--data", str(pipeline["dataset"]), "--max-epochs", "3",
+                 "--weights-out", str(weights)]) == 1
+    assert "epoch 2: loss is not finite" in capsys.readouterr().err
+    assert (tmp_path / "net_history.csv").read_text(encoding="utf-8") == (
+        "epoch,train_loss,val_loss\n1,0.5,0.25\n")
     assert not weights.exists()
 
 
@@ -718,6 +760,19 @@ def test_out_of_range_split_index_is_runtime_error(pipeline, tmp_path, capsys, c
     assert not out.exists()
 
 
+def _command_without_output(pipeline, command):
+    """A quick ``command`` on the pipeline's files, less its output flag."""
+    return {
+        "generate": ["generate", *BASE, "--grid-az", "0,40", "--grid-el", "0,20",
+                     "--grid-step", "20"],
+        "train": ["train", "--data", str(pipeline["dataset"]), "--max-epochs", "1"],
+        "eval": ["eval", "--data", str(pipeline["dataset"]),
+                 "--weights", str(pipeline["weights"])],
+        "pattern": ["pattern", *BASE, "--config", str(pipeline["config"]), "--step", "20"],
+        "optimize": ["optimize", *BASE, "--method", "gim", "--el", "0", "--az", "80"],
+    }[command]
+
+
 @pytest.mark.parametrize("command, flag, out", [
     ("generate", "--out", "file"),
     ("generate", "--out", "file/ds"),
@@ -733,21 +788,42 @@ def test_output_under_a_regular_file_fails_before_any_work(
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     out = tmp_path / out
-    argv = {
-        "generate": ["generate", *BASE, "--grid-az", "0,40", "--grid-el", "0,20",
-                     "--grid-step", "20"],
-        "train": ["train", "--data", str(pipeline["dataset"]), "--max-epochs", "1"],
-        "eval": ["eval", "--data", str(pipeline["dataset"]),
-                 "--weights", str(pipeline["weights"])],
-        "pattern": ["pattern", *BASE, "--config", str(pipeline["config"]), "--step", "20"],
-        "optimize": ["optimize", *BASE, "--method", "gim", "--el", "0", "--az", "80"],
-    }[command]
+    argv = _command_without_output(pipeline, command)
     assert main([*argv, flag, str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} {out}: ")
     assert captured.err.count("\n") == 1  # no progress line came first
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write to any directory")
+@pytest.mark.parametrize("command, flag, out", [
+    ("generate", "--out", "ro"),
+    ("generate", "--out", "ro/ds"),
+    ("train", "--weights-out", "ro/net.rist"),
+    ("eval", "--report-out", "ro/report.csv"),
+    ("pattern", "--out", "ro/pattern.csv"),
+    ("optimize", "--config-out", "ro/config.rist"),
+])
+def test_output_in_a_read_only_directory_fails_before_any_work(
+        pipeline, tmp_path, capsys, command, flag, out):
+    # train would otherwise run every epoch and then fail on the write
+    read_only = tmp_path / "ro"
+    read_only.mkdir(mode=0o500)
+    out = tmp_path / out
+    argv = _command_without_output(pipeline, command)
+    try:
+        assert main([*argv, flag, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} {out}: directory {read_only} "
+                                "is not writable\n")
+        assert list(tmp_path.iterdir()) == [read_only]
+        assert list(read_only.iterdir()) == []
+    finally:
+        read_only.chmod(0o700)
 
 
 # a 12x10 surface: the default 40x40 would mask a dropped --ris-m or --ris-n
