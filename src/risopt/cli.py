@@ -10,6 +10,7 @@ Subcommands: generate (dataset sweep), train (network fit), eval
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -275,9 +276,12 @@ def _check_writable(directory: Path, text: str, flag: str) -> None:
 
 
 def _output(text: str, flag: str) -> Path:
-    """``text`` as a Path, once its parent directory exists; a path whose
-    parent cannot be made or written is a usage error that names ``flag``."""
+    """``text`` as a Path, once its parent directory exists; a path that is a
+    directory, or whose parent cannot be made or written, is a usage error
+    that names ``flag``."""
     path = Path(text)
+    if path.is_dir():
+        raise _UsageError(f"{flag} {text}: is a directory, not a file")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -319,9 +323,8 @@ def cmd_generate(args) -> int:
     manifest = generate_dataset(
         geom, tx, args.rx_dist, grid, args.out, split_ratios=args.split,
         split_seed=args.seed, flat_tx_phase=args.flat_tx_phase, progress=progress)
-    counts = manifest.counts
-    print(f"samples={manifest.grid.num_points} train={counts['train']} "
-          f"val={counts['val']} test={counts['test']}")
+    print(f"samples={manifest.grid.num_points}",
+          *(f"{name}={manifest.counts[name]}" for name in SPLIT_NAMES))
     print(f"manifest={Path(args.out) / 'manifest.json'}")
     return 0
 
@@ -332,6 +335,10 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
+    for name in ("train", "val"):
+        if not splits[name]:
+            raise ValueError(f"split {name!r} of {args.data} has no samples; "
+                             "train needs both a train and a val sample")
     inputs, targets = load_arrays(args.data)
     model = make_model(args.seed)
     # each row is appended as its epoch ends, so a run that fails keeps the
@@ -356,11 +363,7 @@ def cmd_train(args) -> int:
     save_model(weights_out, trained)
     _write_json(weights_out.parent / (weights_out.stem + "_run.json"), {
         "data": str(args.data),
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "seed": cfg.rng_seed,
+        **dataclasses.asdict(cfg),
         "epochs_run": len(history),
         "final_train_loss": history[-1][1],
         "final_val_loss": history[-1][2],
@@ -387,12 +390,8 @@ def cmd_eval(args) -> int:
     report.to_csv(report_out)
     _write_json(report_out.parent / (report_out.stem + "_summary.json"), report.summary)
     for method in ("gim", "cnn"):
-        s = report.summary[method]
-        band = s["band45_mean_gap_db"]
-        print(f"{method}: max_gap_db={s['max_gap_db']:.3f} "
-              f"mean_gap_db={s['mean_gap_db']:.3f} "
-              f"median_gap_db={s['median_gap_db']:.3f} "
-              f"band45_mean_gap_db={'none' if band is None else format(band, '.3f')}")
+        print(f"{method}:", *(f"{key}={'none' if value is None else format(value, '.3f')}"
+                              for key, value in report.summary[method].items()))
     print(f"report={report_out}")
     return 0
 

@@ -56,13 +56,13 @@ def _summarize(rows: list) -> dict:
     summary = {}
     for method in ("gim", "cnn"):
         gaps = np.array([r[f"gap_{method}_db"] for r in rows])
-        entry = {
+        # the keys in the order cmd_eval prints them
+        summary[method] = {
             "max_gap_db": float(gaps.max()),
             "mean_gap_db": float(gaps.mean()),
             "median_gap_db": float(np.median(gaps)),
+            "band45_mean_gap_db": float(gaps[band].mean()) if band.any() else None,
         }
-        entry["band45_mean_gap_db"] = float(gaps[band].mean()) if band.any() else None
-        summary[method] = entry
     summary["num_samples"] = len(rows)
     return summary
 
@@ -99,29 +99,20 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
     for idx in splits[split]:
         az, el = points[idx]
         ch = compute_channels(geom, h, RxSpec(manifest.rx_distance_m, el, az))
-        ref = PhaseConfig(pm1_to_states(targets[idx]))
-        combined = combine_stripes(*stripe_states(inputs[idx]))
-        predicted = predict_config(model, inputs[idx])
-
+        # the reference, stripe and predicted configs, in CSV_COLUMNS' order
+        configs = (PhaseConfig(pm1_to_states(targets[idx])),
+                   combine_stripes(*stripe_states(inputs[idx])),
+                   predict_config(model, inputs[idx]))
         if noise_snr_db is None:
-            p_im = power_db(objective(ch, ref))
-            p_gim = power_db(objective(ch, combined))
-            p_cnn = power_db(objective(ch, predicted))
+            p_im, p_gim, p_cnn = (power_db(objective(ch, cfg)) for cfg in configs)
         else:
-            sigma = objective(ch, ref) * 10.0 ** (-noise_snr_db / 20.0)
+            sigma = objective(ch, configs[0]) * 10.0 ** (-noise_snr_db / 20.0)
             x = np.ones(1000)
             p_im, p_gim, p_cnn = (
                 received_power_db(simulate_received_signal(
                     ch, cfg, x, sigma, noise_seed + 3 * int(idx) + k))
-                for k, cfg in enumerate((ref, combined, predicted))
+                for k, cfg in enumerate(configs)
             )
-        rows.append({
-            "azimuth_deg": az,
-            "elevation_deg": el,
-            "p_im_db": p_im,
-            "p_gim_db": p_gim,
-            "p_cnn_db": p_cnn,
-            "gap_gim_db": p_im - p_gim,
-            "gap_cnn_db": p_im - p_cnn,
-        })
+        rows.append(dict(zip(CSV_COLUMNS, (az, el, p_im, p_gim, p_cnn,
+                                           p_im - p_gim, p_im - p_cnn))))
     return EvalReport(rows, _summarize(rows))

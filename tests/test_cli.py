@@ -161,8 +161,10 @@ def test_train_wrote_weights_history_and_run(pipeline):
 
     run = json.loads((pipeline["root"] / "net_run.json").read_text(encoding="utf-8"))
     assert run["epochs_run"] == 2
-    assert run["seed"] == 1
-    assert run["batch_size"] == 4
+    # the settings are TrainConfig's fields, under their own names
+    assert {k: run[k] for k in ("batch_size", "max_epochs", "patience", "rng_seed", "lr")} == {
+        "batch_size": 4, "max_epochs": 2, "patience": 10, "rng_seed": 1, "lr": 1e-3}
+    assert "seed" not in run
     # 2 epochs over the 7 training samples
     assert run["train_seconds"] > 0
     assert run["samples_per_s"] == pytest.approx(2 * 7 / run["train_seconds"])
@@ -222,6 +224,35 @@ def test_eval_writes_report_and_summary(pipeline, capsys):
     out = capsys.readouterr().out
     assert "gim: max_gap_db=" in out
     assert "cnn: max_gap_db=" in out
+
+
+def _summary_line(method, entry):
+    band = entry["band45_mean_gap_db"]
+    return (f"{method}: max_gap_db={entry['max_gap_db']:.3f} "
+            f"mean_gap_db={entry['mean_gap_db']:.3f} "
+            f"median_gap_db={entry['median_gap_db']:.3f} "
+            f"band45_mean_gap_db={'none' if band is None else format(band, '.3f')}")
+
+
+@pytest.mark.parametrize("elevations", ["-20,20", "50,60"], ids=["in_band", "above_band"])
+def test_eval_prints_the_summary_it_writes(pipeline, tmp_path, capsys, elevations):
+    # every sample of the 50-60 degree grid lies outside |elevation| <= 45
+    ds = tmp_path / "dataset"
+    assert main(["generate", *BASE, "--grid-az", "0,40", f"--grid-el={elevations}",
+                 "--grid-step", "10", "--out", str(ds)]) == 0
+    manifest = load_manifest(ds)
+    counts = manifest.counts
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"samples={manifest.grid.num_points} train={counts['train']} "
+        f"val={counts['val']} test={counts['test']}")
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(ds), "--weights", str(pipeline["weights"]),
+                 "--split", "train", "--report-out", str(report)]) == 0
+    summary = json.loads((tmp_path / "report_summary.json").read_text(encoding="utf-8"))
+    assert (summary["cnn"]["band45_mean_gap_db"] is None) == (elevations == "50,60")
+    assert capsys.readouterr().out.splitlines() == [
+        _summary_line("gim", summary["gim"]), _summary_line("cnn", summary["cnn"]),
+        f"report={report}"]
 
 
 def test_eval_seed_draws_only_the_noisy_link(pipeline, tmp_path):
@@ -485,6 +516,21 @@ def test_train_stops_on_non_finite_loss(pipeline, tmp_path, capsys):
     assert not weights.exists()
     history = tmp_path / "nan_history.csv"
     assert history.read_text(encoding="utf-8") == "epoch,train_loss,val_loss\n"
+
+
+@pytest.mark.parametrize("ratios, empty", [("1,0,0", "val"), ("0,1,0", "train")])
+def test_train_on_an_empty_split_keeps_the_previous_history(tmp_path, capsys, ratios, empty):
+    ds = tmp_path / "dataset"
+    assert main(["generate", *BASE, "--grid-az", "0,20", "--grid-el", "0,20",
+                 "--grid-step", "20", "--split", ratios, "--out", str(ds)]) == 0
+    history = tmp_path / "net_history.csv"
+    history.write_text("epoch,train_loss,val_loss\n1,0.5,0.25\n", encoding="utf-8")
+    capsys.readouterr()
+    weights = tmp_path / "net.rist"
+    assert main(["train", "--data", str(ds), "--weights-out", str(weights)]) == 1
+    assert f"split {empty!r} of {ds} has no samples" in capsys.readouterr().err
+    assert history.read_text(encoding="utf-8") == "epoch,train_loss,val_loss\n1,0.5,0.25\n"
+    assert not weights.exists()
 
 
 def test_train_that_fails_keeps_the_epochs_it_finished(pipeline, tmp_path, capsys,
@@ -795,6 +841,26 @@ def test_output_under_a_regular_file_fails_before_any_work(
     assert captured.err.startswith(f"error: {flag} {out}: ")
     assert captured.err.count("\n") == 1  # no progress line came first
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--weights-out"),
+    ("eval", "--report-out"),
+    ("pattern", "--out"),
+    ("optimize", "--config-out"),
+])
+def test_output_that_is_a_directory_fails_before_any_work(
+        pipeline, tmp_path, capsys, command, flag):
+    # train would otherwise run every epoch, write D_history.csv, then fail
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _command_without_output(pipeline, command)
+    assert main([*argv, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {out}: is a directory, not a file\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
