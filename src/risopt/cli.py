@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -31,6 +33,7 @@ from risopt.cnn import (
     train,
 )
 from risopt.data import (
+    DATASET_FILES,
     DEFAULT_SPLIT,
     MAX_DATASET_BYTES,
     MAX_ELEMENTS,
@@ -270,24 +273,46 @@ def _check_dataset_flags(args) -> None:
                               f"whose manifest has {shown!r}")
 
 
-def _check_writable(directory: Path, text: str, flag: str) -> None:
-    if not os.access(directory, os.W_OK | os.X_OK):
-        raise _UsageError(f"{flag} {text}: directory {directory} is not writable")
+def _check_writable(path: Path, text: str, flag: str) -> Path:
+    """``path`` or its nearest existing ancestor, which is returned, must be a
+    directory this process may write."""
+    found = next(p for p in itertools.chain([path], path.parents) if p.exists())
+    if not found.is_dir():
+        raise _UsageError(f"{flag} {text}: {found} is not a directory")
+    if not os.access(found, os.W_OK | os.X_OK):
+        raise _UsageError(f"{flag} {text}: directory {found} is not writable")
+    return found
 
 
-def _output(text: str, flag: str) -> Path:
-    """``text`` as a Path, once its parent directory exists; a path that is a
-    directory, or whose parent cannot be made or written, is a usage error
-    that names ``flag``."""
+def _output(text: str, flag: str, *suffixes: str, reads=()) -> list:
+    """Every file a command writes: ``text``, then the ``<stem><suffix>`` file
+    beside it per suffix.  A directory among them, an existing file that is
+    one of the command's inputs (``reads``, as (flag, path) pairs) or that
+    cannot be written, or a parent that cannot be made or written, is a usage
+    error naming ``flag``; the parent is made last."""
     path = Path(text)
-    if path.is_dir():
-        raise _UsageError(f"{flag} {text}: is a directory, not a file")
-    try:
+    paths = [path, *(path.parent / (path.stem + suffix) for suffix in suffixes)]
+    for p in paths:  # one stat each, and no mkdir of an existing parent: per-request cost
+        try:
+            mode = p.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        where = "" if p is path else f"{p} "
+        if stat.S_ISDIR(mode):
+            raise _UsageError(f"{flag} {text}: {where}is a directory, not a file")
+        for read_flag, read in reads:
+            if os.path.exists(read) and os.path.samefile(p, read):
+                raise _UsageError(f"{flag} {text}: {where}would overwrite the {read_flag} "
+                                  f"input {read}")
+        if not os.access(p, os.W_OK):
+            raise _UsageError(f"{flag} {text}: file {p} is not writable")
+    if _check_writable(path.parent, text, flag) != path.parent:
         path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _UsageError(f"{flag} {text}: {exc}") from None
-    _check_writable(path.parent, text, flag)
-    return path
+    return paths
+
+
+def _dataset_reads(data: str) -> list:
+    return [("--data", Path(data) / name) for name in DATASET_FILES]
 
 
 def _stderr(line: str) -> None:
@@ -310,11 +335,7 @@ def cmd_generate(args) -> int:
                           f"{args.ris_n} elements need more than the {MAX_DATASET_BYTES} B of "
                           "records a dataset may hold (12 B per element and sample); check "
                           "--ris-m, --ris-n, --grid-az, --grid-el and --grid-step")
-    # the directory is made only after the sweep, so check what is in its way
-    found = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-    if not found.is_dir():
-        raise _UsageError(f"--out {args.out}: {found} is not a directory")
-    _check_writable(found, args.out, "--out")
+    _check_writable(Path(args.out), args.out, "--out")  # made only after the sweep
 
     def progress(done, total):
         if done == total or done % max(1, total // 20) == 0:
@@ -331,7 +352,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     _check_dataset_flags(args)
-    weights_out = _output(args.weights_out, "--weights-out")
+    weights_out, history_path, run_path = _output(
+        args.weights_out, "--weights-out", "_history.csv", "_run.json",
+        reads=_dataset_reads(args.data))
     cfg = TrainConfig(batch_size=args.batch, max_epochs=args.max_epochs,
                       patience=args.patience, rng_seed=args.seed, lr=args.lr)
     splits = load_splits(args.data)
@@ -343,7 +366,6 @@ def cmd_train(args) -> int:
     model = make_model(args.seed)
     # each row is appended as its epoch ends, so a run that fails keeps the
     # epochs it finished
-    history_path = weights_out.parent / (weights_out.stem + "_history.csv")
     history_path.write_text("epoch,train_loss,val_loss\n", encoding="utf-8")
 
     def progress(epoch, train_loss, val_loss):
@@ -361,7 +383,7 @@ def cmd_train(args) -> int:
     train_seconds = time.perf_counter() - t0
 
     save_model(weights_out, trained)
-    _write_json(weights_out.parent / (weights_out.stem + "_run.json"), {
+    _write_json(run_path, {
         "data": str(args.data),
         **dataclasses.asdict(cfg),
         "epochs_run": len(history),
@@ -383,12 +405,13 @@ def cmd_eval(args) -> int:
     if args.seed is not None and args.snr_db is None:
         raise _UsageError("--seed seeds only the noisy link of --snr-db; give --snr-db too")
     _check_dataset_flags(args)
-    report_out = _output(args.report_out, "--report-out")
+    report_out, summary_path = _output(args.report_out, "--report-out", "_summary.json", reads=[
+        ("--weights", args.weights), *_dataset_reads(args.data)])
     model = load_model(args.weights)
     report = evaluate_split(args.data, model, args.split,
                             noise_snr_db=args.snr_db, noise_seed=args.seed or 0)
     report.to_csv(report_out)
-    _write_json(report_out.parent / (report_out.stem + "_summary.json"), report.summary)
+    _write_json(summary_path, report.summary)
     for method in ("gim", "cnn"):
         print(f"{method}:", *(f"{key}={'none' if value is None else format(value, '.3f')}"
                               for key, value in report.summary[method].items()))
@@ -400,7 +423,9 @@ def cmd_optimize(args) -> int:
     if args.method == "cnn" and not args.weights:
         raise _UsageError("--method cnn requires --weights")
     geom, _, h = _surface(args)
-    out = _output(args.config_out or f"config_{args.method}.rist", "--config-out")
+    out, = _output(args.config_out or f"config_{args.method}.rist", "--config-out",
+                   reads=[("--weights", args.weights)] if args.weights else ())
+    model = load_model(args.weights) if args.method == "cnn" else None
     ch = compute_channels(geom, h, RxSpec(args.rx_dist, args.el, args.az))
 
     if args.method == "im":
@@ -415,7 +440,7 @@ def cmd_optimize(args) -> int:
         else:
             # network inference adds no configure-and-measure steps
             image = stripe_image(h_states, v_states)
-            cfg = predict_config(load_model(args.weights), image)
+            cfg = predict_config(model, image)
 
     save_tensors(out, [cfg.states.astype(np.float32)])
     print(f"steps={steps}")
@@ -441,7 +466,7 @@ def cmd_pattern(args) -> int:
         grid = AngularGrid(step_deg=args.step)
     except ValueError as exc:
         raise _UsageError(f"{exc}; check --step") from None
-    out = _output(args.out, "--out")
+    out, = _output(args.out, "--out", reads=[("--config", args.config)])
     records = load_tensors(args.config)
     if len(records) != 1 or records[0].shape != (geom.n_rows, geom.m_cols):
         raise ValueError(f"{args.config} does not match the geometry: expected a single "

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from risopt.physics import PhaseConfig
+from risopt.physics import PhaseConfig, _check_states
 from risopt.tensorfile import load_tensors, save_tensors
 
 DEFAULT_CHANNELS = (2, 4, 16, 32, 128, 64, 8, 4, 1)
@@ -475,8 +475,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
 def states_to_pm1(states: np.ndarray) -> np.ndarray:
     """Binary state indices to the +1/-1 encoding (0 -> +1, 1 -> -1)."""
     states = np.asarray(states)
-    if states.size and (states.min() < 0 or states.max() > 1):
-        raise ValueError("only binary states can be sign-encoded")
+    _check_states(states)
     return 1.0 - 2.0 * states
 
 
@@ -534,10 +533,20 @@ def load_model(path) -> Model:
     within ``SIGN_MARGIN`` (1e-5, about 18x the largest float32 error
     measured) of zero, so its decisions match a float64 pass.  The file
     stores only conv parameters, so the model has no dropout, which only
-    training passes apply.
+    training passes apply.  Weights that do not make a network from the two
+    channels of a :func:`stripe_image` to one config map are refused, naming
+    the file.
     """
     records = load_tensors(path)
-    if not records or len(records) % 2:
-        raise ValueError("weights file must hold (weights, bias) record pairs")
-    return Model([ConvLayer(records[i], records[i + 1])
-                  for i in range(0, len(records), 2)])
+    try:
+        if not records or len(records) % 2:
+            raise ValueError("weights file must hold (weights, bias) record pairs")
+        model = Model([ConvLayer(records[i], records[i + 1])
+                       for i in range(0, len(records), 2)])
+        channels = (model.in_channels, model.convs[-1].weights.shape[3])
+        if channels != (2, 1):
+            raise ValueError(f"the network maps {channels[0]} channels to {channels[1]}; "
+                             "predicting a config takes 2 to 1")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model

@@ -46,6 +46,8 @@ from risopt.physics import (
 from risopt.tensorfile import save_tensors
 
 MANIFEST_VERSION = 1
+# every file of a dataset directory, as listed above
+DATASET_FILES = ("inputs.rist", "targets.rist", "samples.json", "splits.json", "manifest.json")
 
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)
 SPLIT_NAMES = ("train", "val", "test")

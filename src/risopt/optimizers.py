@@ -40,6 +40,7 @@ from risopt.physics import (
     PHASORS,
     ChannelMatrices,
     PhaseConfig,
+    _check_states,
     objective,
 )
 
@@ -201,8 +202,7 @@ def combine_stripes(h_states, v_states) -> PhaseConfig:
     for name, states in (("row", h_states), ("column", v_states)):
         if states.ndim != 1 or states.dtype.kind not in "iu":
             raise ValueError(f"{name} states must be a 1-D integer vector")
-        if states.size and not (states.min() >= 0 and states.max() <= 1):
-            raise ValueError(f"{name} states must be 0 or 1")
+        _check_states(states, f"{name} states")
     return PhaseConfig(h_states[:, np.newaxis] ^ v_states[np.newaxis, :])
 
 

@@ -69,6 +69,12 @@ def _check_angles(name: str, elevation_deg: float = 0.0, azimuth_deg: float = 0.
         raise ValueError(f"{name} azimuth {azimuth_deg} must lie in [0, 360) degrees")
 
 
+def _check_states(states: np.ndarray, what: str = "states") -> None:
+    """The phase-state rule: every state is exactly 0 or 1."""
+    if not ((states == 0) | (states == 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
+
+
 def _check_placement(name: str, spec) -> None:
     """A transmitter or receiver: a finite distance > 0, angles in range."""
     if not (np.isfinite(spec.distance) and spec.distance > 0):
@@ -158,8 +164,7 @@ class PhaseConfig:
         states = np.asarray(self.states)
         if states.ndim != 2:
             raise ValueError("states must be a 2-D matrix")
-        if not np.all((states == 0) | (states == 1)):  # checked before the integer cast
-            raise ValueError("states must be 0 or 1")
+        _check_states(states)  # before the integer cast
         object.__setattr__(self, "states", states.astype(np.int64, copy=False))
 
     @property

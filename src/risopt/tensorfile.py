@@ -57,29 +57,33 @@ def save_tensors(path, tensors) -> None:
 def load_tensors(path) -> list:
     """Read every record of a tensor file; inverse of :func:`save_tensors`,
     each record straight into its own array once its size fits what the
-    file has left.  A path that is not a regular file is refused unopened."""
+    file has left.  A path that is not a regular file is refused unopened.
+    Every format error names ``path``."""
     if not stat.S_ISREG(os.stat(path).st_mode):  # opening a FIFO with no writer blocks
         raise TensorFormatError(f"{path} is not a regular file")
     out = []
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        while (offset := f.tell()) < size:
-            header = f.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise TensorFormatError(f"truncated record header at byte {offset}")
-            magic, version, rank = _HEADER.unpack(header)
-            if magic != MAGIC:
-                raise TensorFormatError(f"bad magic {magic!r} at byte {offset}")
-            if version != FORMAT_VERSION:
-                raise TensorFormatError(f"unsupported format version {version}")
-            raw = f.read(4 * rank)
-            if len(raw) < 4 * rank:
-                raise TensorFormatError("truncated dimension list")
-            dims = struct.unpack(f"<{rank}I", raw)
-            if 4 * math.prod(dims) > size - f.tell():
-                raise TensorFormatError(f"record at byte {offset}: {dims} overruns the file")
-            arr = np.empty(dims, "<f4")
-            if f.readinto(arr) != arr.nbytes:
-                raise TensorFormatError(f"record at byte {offset}: the file ends inside it")
-            out.append(arr)
+        try:
+            while (offset := f.tell()) < size:
+                header = f.read(_HEADER.size)
+                if len(header) < _HEADER.size:
+                    raise TensorFormatError(f"truncated record header at byte {offset}")
+                magic, version, rank = _HEADER.unpack(header)
+                if magic != MAGIC:
+                    raise TensorFormatError(f"bad magic {magic!r} at byte {offset}")
+                if version != FORMAT_VERSION:
+                    raise TensorFormatError(f"unsupported format version {version}")
+                raw = f.read(4 * rank)
+                if len(raw) < 4 * rank:
+                    raise TensorFormatError("truncated dimension list")
+                dims = struct.unpack(f"<{rank}I", raw)
+                if 4 * math.prod(dims) > size - f.tell():
+                    raise TensorFormatError(f"record at byte {offset}: {dims} overruns the file")
+                arr = np.empty(dims, "<f4")
+                if f.readinto(arr) != arr.nbytes:
+                    raise TensorFormatError(f"record at byte {offset}: the file ends inside it")
+                out.append(arr)
+        except TensorFormatError as exc:
+            raise TensorFormatError(f"{path}: {exc}") from None
     return out

@@ -20,7 +20,7 @@ import pytest
 from risopt import cli, cnn
 from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
-from risopt.data import AngularGrid, load_manifest, load_splits
+from risopt.data import DATASET_FILES, AngularGrid, load_manifest, load_splits
 from risopt.physics import (
     PatternGrid,
     PhaseConfig,
@@ -144,9 +144,8 @@ def test_generate_wrote_full_dataset(pipeline):
     # splits.json is the split and the grid counts the samples
     assert "split" not in written
     assert written["counts"] == {"train": 7, "val": 1, "test": 1}
-    for name in ("inputs.rist", "targets.rist", "samples.json",
-                 "splits.json", "manifest.json"):
-        assert (pipeline["dataset"] / name).exists()
+    # the files the CLI keeps its outputs from overwriting, and no other
+    assert sorted(p.name for p in pipeline["dataset"].iterdir()) == sorted(DATASET_FILES)
 
 
 def test_train_wrote_weights_history_and_run(pipeline):
@@ -890,6 +889,134 @@ def test_output_in_a_read_only_directory_fails_before_any_work(
         assert list(read_only.iterdir()) == []
     finally:
         read_only.chmod(0o700)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called after an output check should have refused the command")
+
+
+@pytest.mark.parametrize("command, flag, out, beside", [
+    ("train", "--weights-out", "net.rist", "net_history.csv"),
+    ("train", "--weights-out", "net.rist", "net_run.json"),
+    ("eval", "--report-out", "report.csv", "report_summary.json"),
+])
+def test_output_beside_the_given_one_that_is_a_directory_fails_before_any_work(
+        pipeline, tmp_path, capsys, monkeypatch, command, flag, out, beside):
+    # train would otherwise run its epochs and write net.rist and
+    # net_history.csv before failing on net_run.json, and eval report.csv
+    for name in ("load_splits", "load_arrays", "load_model", "evaluate_split"):
+        monkeypatch.setattr(cli, name, _never)
+    (tmp_path / beside).mkdir()
+    out = tmp_path / out
+    argv = _command_without_output(pipeline, command)
+    assert main([*argv, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {out}: {tmp_path / beside} is a directory, not a file\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / beside]
+    assert list((tmp_path / beside).iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, out, hit, read_flag, read", [
+    ("eval", "--report-out", "net.rist", "net.rist", "--weights", "net.rist"),
+    ("eval", "--report-out", "report.csv", "report_summary.json",
+     "--weights", "report_summary.json"),
+    ("eval", "--report-out", "ds/targets.rist", "ds/targets.rist", "--data", "ds/targets.rist"),
+    ("train", "--weights-out", "ds/inputs.rist", "ds/inputs.rist", "--data", "ds/inputs.rist"),
+    ("train", "--weights-out", "ds/manifest.json", "ds/manifest.json",
+     "--data", "ds/manifest.json"),
+    ("optimize", "--config-out", "net.rist", "net.rist", "--weights", "net.rist"),
+    ("pattern", "--out", "config.rist", "config.rist", "--config", "config.rist"),
+    ("pattern", "--out", "link.csv", "link.csv", "--config", "config.rist"),
+])
+def test_output_that_is_one_of_the_inputs_fails_before_any_work(
+        pipeline, tmp_path, capsys, monkeypatch, command, flag, out, hit, read_flag, read):
+    # eval --report-out W would otherwise replace the weights W with the
+    # report, and optimize --config-out W the weights with a config
+    for name in ("load_splits", "load_arrays", "load_model", "gim_optimize", "load_tensors"):
+        monkeypatch.setattr(cli, name, _never)
+    ds, config = tmp_path / "ds", tmp_path / "config.rist"
+    weights = tmp_path / (read if read_flag == "--weights" else "net.rist")
+    shutil.copytree(pipeline["dataset"], ds)
+    shutil.copy(pipeline["weights"], weights)
+    shutil.copy(pipeline["config"], config)
+    if out == "link.csv":
+        (tmp_path / out).symlink_to(config)
+    argv = {
+        "train": ["train", "--data", str(ds), "--max-epochs", "1"],
+        "eval": ["eval", "--data", str(ds), "--weights", str(weights)],
+        "optimize": ["optimize", *BASE, "--method", "cnn", "--el", "0", "--az", "80",
+                     "--weights", str(weights)],
+        "pattern": ["pattern", *BASE, "--config", str(config), "--step", "20"],
+    }[command]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    out = tmp_path / out
+    assert main([*argv, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "" if tmp_path / hit == out else f"{tmp_path / hit} "
+    assert captured.err == (f"error: {flag} {out}: {where}would overwrite the {read_flag} "
+                            f"input {tmp_path / read}\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write to any file")
+@pytest.mark.parametrize("command, flag, out, locked", [
+    ("train", "--weights-out", "net.rist", "net_run.json"),
+    ("eval", "--report-out", "report.csv", "report.csv"),
+    ("eval", "--report-out", "report.csv", "report_summary.json"),
+    ("pattern", "--out", "pattern.csv", "pattern.csv"),
+    ("optimize", "--config-out", "config.rist", "config.rist"),
+])
+def test_output_file_that_is_read_only_fails_before_any_work(
+        pipeline, tmp_path, capsys, command, flag, out, locked):
+    (tmp_path / locked).write_text("kept", encoding="utf-8")
+    (tmp_path / locked).chmod(0o400)
+    out = tmp_path / out
+    argv = _command_without_output(pipeline, command)
+    assert main([*argv, flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {out}: file {tmp_path / locked} is not writable\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / locked]
+    assert (tmp_path / locked).read_text(encoding="utf-8") == "kept"
+
+
+def test_tensor_file_errors_name_the_file(pipeline, tmp_path, capsys):
+    # one of three files may be at fault
+    bad = tmp_path / "bad.rist"
+    bad.write_bytes(b"XXXX" + bytes(20))
+    ds = tmp_path / "ds"
+    shutil.copytree(pipeline["dataset"], ds)
+    targets = ds / "targets.rist"
+    targets.write_bytes(targets.read_bytes()[:40])
+    for weights, message in [(bad, f"{bad}: bad magic b'XXXX' at byte 0"),
+                             (pipeline["weights"],
+                              f"{targets}: record at byte 0: (8, 8) overruns the file")]:
+        assert main(["eval", "--data", str(ds), "--weights", str(weights),
+                     "--report-out", str(tmp_path / "report.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("channels", [(2, 4, 2), (3, 4, 1)])
+def test_weights_that_cannot_give_a_config_are_refused_on_load(
+        pipeline, tmp_path, capsys, monkeypatch, channels):
+    # otherwise a 2-channel output fails in PhaseConfig and a 3-channel input
+    # in the forward pass, naming no file, after optimize's stripe searches
+    weights = tmp_path / "odd.rist"
+    cnn.save_model(weights, cnn.make_model(0, channels=channels, kernels=(3, 3),
+                                           dropout_after=()))
+    message = (f"error: {weights}: the network maps {channels[0]} channels to "
+               f"{channels[-1]}; predicting a config takes 2 to 1\n")
+    assert main(["eval", "--data", str(pipeline["dataset"]), "--weights", str(weights),
+                 "--report-out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err == message
+    monkeypatch.setattr(cli, "gim_optimize", _never)
+    assert main(["optimize", *BASE, "--method", "cnn", "--el", "0", "--az", "80",
+                 "--weights", str(weights), "--config-out", str(tmp_path / "cfg.rist")]) == 1
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == [weights]
 
 
 # a 12x10 surface: the default 40x40 would mask a dropped --ris-m or --ris-n

@@ -824,6 +824,15 @@ def test_pm1_encoding_round_trip():
         states_to_pm1(np.array([0, 2]))
 
 
+@pytest.mark.parametrize("states", [[0.5, 1, 0], [0, 1, -0.25], [np.nan, 0]])
+def test_pm1_encoding_takes_exactly_0_or_1(states):
+    # PhaseConfig's rule; a min/max check would encode 0.5 as a 0.0 input value
+    with pytest.raises(ValueError, match="^states must be 0 or 1$"):
+        states_to_pm1(states)
+    with pytest.raises(ValueError, match="^states must be 0 or 1$"):
+        stripe_image(np.array(states), np.array([0, 1]))
+
+
 def test_pm1_threshold_at_zero():
     np.testing.assert_array_equal(pm1_to_states(np.array([0.0, -0.0, 1e-9, -1e-9])),
                                   [0, 0, 0, 1])
@@ -959,11 +968,21 @@ def test_make_model_defaults_to_float32_and_saves_the_float64_bytes(tmp_path, se
     assert (tmp_path / "32.rist").read_bytes() == (tmp_path / "64.rist").read_bytes()
 
 
+@pytest.mark.parametrize("channels, cin, cout", [((2, 4, 2), 2, 2), ((3, 4, 1), 3, 1)])
+def test_load_model_refuses_a_network_that_cannot_give_a_config(tmp_path, channels, cin, cout):
+    # predicting takes the 2-channel stripe image to one config map
+    path = tmp_path / "w.rist"
+    save_model(path, make_model(0, channels=channels, kernels=(3, 3), dropout_after=()))
+    with pytest.raises(ValueError, match=f"^{path}: the network maps {cin} channels to "
+                                         f"{cout}; predicting a config takes 2 to 1$"):
+        load_model(path)
+
+
 def test_load_model_rejects_odd_record_count(tmp_path):
     from risopt.tensorfile import save_tensors
     path = tmp_path / "bad.rist"
     save_tensors(path, [np.zeros((3, 3, 2, 1), dtype=np.float32)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{path}: weights file must hold"):
         load_model(path)
 
 

@@ -57,3 +57,10 @@ def test_readme_small_run_runs(tmp_path, monkeypatch, capsys):
     assert out[0] == "samples=247 train=149 val=49 test=49"
     assert [line.split(" ")[0] for line in out if line.startswith(("gim:", "cnn:"))] == [
         "gim:", "cnn:"]
+    # exactly the files the README lists below the block
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    assert written == sorted(f"small/{name}" for name in (
+        "data/inputs.rist", "data/targets.rist", "data/samples.json", "data/splits.json",
+        "data/manifest.json", "net.rist", "net_history.csv", "net_run.json", "report.csv",
+        "report_summary.json"))

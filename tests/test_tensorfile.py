@@ -144,6 +144,18 @@ def test_header_claiming_more_than_memory(tmp_path):
         load_tensors(path)
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"JUNK" + bytes(20), "bad magic b'JUNK' at byte 0"),
+    (b"RIST" + struct.pack("<HBI", 1, 1, 100) + struct.pack("<2f", 1.0, 2.0),
+     r"record at byte 0: \(100,\) overruns the file"),
+], ids=["magic", "overrun"])
+def test_format_error_names_the_file(tmp_path, blob, message):
+    path = tmp_path / "named.rist"
+    path.write_bytes(blob)
+    with pytest.raises(TensorFormatError, match=f"^{path}: {message}$"):
+        load_tensors(path)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_path_that_is_not_a_regular_file_is_refused(tmp_path):
     # a pipe holding a whole valid file, and a directory
