@@ -25,6 +25,7 @@ import numpy as np
 from risopt import cnn
 from risopt.cnn import (
     TrainConfig,
+    check_input_shape,
     load_model,
     make_model,
     predict_config,
@@ -251,9 +252,9 @@ def _surface(args) -> tuple:
     return geom, tx, h
 
 
-def _check_dataset_flags(args) -> None:
-    """train and eval take the surface from the dataset's manifest: a
-    surface flag given with a different value is a usage error."""
+def _check_dataset_flags(args):
+    """The dataset's manifest, whose surface train and eval take: a surface
+    flag given with a different value is a usage error."""
     manifest = load_manifest(args.data)
     geom = manifest.geometry
     freq_hz = None if args.freq_ghz is None else args.freq_ghz * 1e9
@@ -271,6 +272,15 @@ def _check_dataset_flags(args) -> None:
         if given is not None and given != stored:
             raise _UsageError(f"{flag} does not match the dataset {args.data}, "
                               f"whose manifest has {shown!r}")
+    return manifest
+
+
+def _check_network(model, geom, network: str, images: str, error=ValueError) -> None:
+    """``check_input_shape`` on ``geom``'s stripe image; an ``error`` names network and images."""
+    try:
+        check_input_shape(model, (geom.n_rows, geom.m_cols, 2))
+    except ValueError as exc:
+        raise error(f"the {network} cannot take the images of {images}: {exc}") from None
 
 
 def _check_writable(path: Path, text: str, flag: str) -> Path:
@@ -320,11 +330,9 @@ def _stderr(line: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    kernel = max(cnn.DEFAULT_KERNELS)
-    if min(args.ris_m, args.ris_n) < kernel:
-        raise _UsageError(f"--ris-m {args.ris_m} x --ris-n {args.ris_n} is smaller than the "
-                          f"network's largest kernel ({kernel}); give both at least {kernel}")
     geom, tx, _ = _surface(args)
+    _check_network(make_model(), geom, "default network",
+                   f"--ris-m {args.ris_m} x --ris-n {args.ris_n}", _UsageError)
     try:
         grid = AngularGrid(args.grid_az[0], args.grid_az[1],
                            args.grid_el[0], args.grid_el[1], args.grid_step)
@@ -351,7 +359,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_dataset_flags(args)
+    geom = _check_dataset_flags(args).geometry
     weights_out, history_path, run_path = _output(
         args.weights_out, "--weights-out", "_history.csv", "_run.json",
         reads=_dataset_reads(args.data))
@@ -364,6 +372,7 @@ def cmd_train(args) -> int:
                              "train needs both a train and a val sample")
     inputs, targets = load_arrays(args.data)
     model = make_model(args.seed)
+    _check_network(model, geom, "default network", f"the dataset {args.data}")
     # each row is appended as its epoch ends, so a run that fails keeps the
     # epochs it finished
     history_path.write_text("epoch,train_loss,val_loss\n", encoding="utf-8")
@@ -404,10 +413,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.seed is not None and args.snr_db is None:
         raise _UsageError("--seed seeds only the noisy link of --snr-db; give --snr-db too")
-    _check_dataset_flags(args)
+    geom = _check_dataset_flags(args).geometry
     report_out, summary_path = _output(args.report_out, "--report-out", "_summary.json", reads=[
         ("--weights", args.weights), *_dataset_reads(args.data)])
     model = load_model(args.weights)
+    _check_network(model, geom, f"network of --weights {args.weights}", f"the dataset {args.data}")
     report = evaluate_split(args.data, model, args.split,
                             noise_snr_db=args.snr_db, noise_seed=args.seed or 0)
     report.to_csv(report_out)
@@ -425,7 +435,10 @@ def cmd_optimize(args) -> int:
     geom, _, h = _surface(args)
     out, = _output(args.config_out or f"config_{args.method}.rist", "--config-out",
                    reads=[("--weights", args.weights)] if args.weights else ())
-    model = load_model(args.weights) if args.method == "cnn" else None
+    if args.method == "cnn":
+        model = load_model(args.weights)
+        _check_network(model, geom, f"network of --weights {args.weights}",
+                       f"--ris-m {args.ris_m} x --ris-n {args.ris_n}", _UsageError)
     ch = compute_channels(geom, h, RxSpec(args.rx_dist, args.el, args.az))
 
     if args.method == "im":
@@ -439,8 +452,7 @@ def cmd_optimize(args) -> int:
             cfg = combine_stripes(h_states, v_states)
         else:
             # network inference adds no configure-and-measure steps
-            image = stripe_image(h_states, v_states)
-            cfg = predict_config(model, image)
+            cfg = predict_config(model, stripe_image(h_states, v_states))
 
     save_tensors(out, [cfg.states.astype(np.float32)])
     print(f"steps={steps}")

@@ -92,14 +92,6 @@ class Model:
         if not all(1 <= i <= len(self.convs) for i in self.dropout_after):
             raise ValueError(f"dropout_after must hold conv indices in [1, {len(self.convs)}]")
 
-    @property
-    def in_channels(self) -> int:
-        return self.convs[0].weights.shape[2]
-
-    @property
-    def min_spatial(self) -> int:
-        return max(max(l.weights.shape[0], l.weights.shape[1]) for l in self.convs)
-
     def parameters(self) -> list:
         return [p for layer in self.convs for p in (layer.weights, layer.bias)]
 
@@ -261,20 +253,14 @@ def _forward_pass(model: Model, x: np.ndarray, rng):
     return a, caches
 
 
-def _check_shape(model: Model, shape: tuple) -> None:
-    """Reject an image shape other than (H >= kernel, W >= kernel, in_channels)."""
-    if len(shape) != 3 or shape[2] != model.in_channels:
-        raise ValueError(f"input must be (H, W, {model.in_channels}), got {shape}")
-    if min(shape[0], shape[1]) < model.min_spatial:
-        raise ValueError(f"input {shape} is smaller than the largest kernel "
-                         f"({model.min_spatial}x{model.min_spatial})")
-
-
-def _check_input(model: Model, x: np.ndarray) -> np.ndarray:
-    # follow the parameter dtype so float32 models run fully in float32
-    x = np.asarray(x, dtype=model.convs[0].weights.dtype)
-    _check_shape(model, x.shape)
-    return x
+def check_input_shape(model: Model, shape: tuple) -> None:
+    """The network-input rule: (H, W, C), C the first layer's channels, H and W >= every kernel."""
+    channels = model.convs[0].weights.shape[2]
+    kernel = max(max(l.weights.shape[:2]) for l in model.convs)
+    if len(shape) != 3 or shape[2] != channels:
+        raise ValueError(f"input must be (H, W, {channels}), got {shape}")
+    if min(shape[0], shape[1]) < kernel:
+        raise ValueError(f"input {shape} is smaller than the largest kernel ({kernel}x{kernel})")
 
 
 def _rng(seed):
@@ -288,7 +274,8 @@ def model_forward(model: Model, x, rng_seed: int | None = None) -> np.ndarray:
     drawn from that seed; without it the pass is deterministic.  A
     single-channel result is squeezed to (H, W).
     """
-    x = _check_input(model, x)
+    x = np.asarray(x, dtype=model.convs[0].weights.dtype)  # the model's dtype throughout
+    check_input_shape(model, x.shape)
     out, _ = _forward_pass(model, x, _rng(rng_seed))
     return out[:, :, 0] if out.shape[2] == 1 else out
 
@@ -330,7 +317,8 @@ def model_backward(model: Model, x, target, rng_seed: int | None = None) -> list
     :func:`model_forward` call, so the gradients correspond exactly to
     that pass; without one, to the deterministic pass.
     """
-    x = _check_input(model, x)
+    x = np.asarray(x, dtype=model.convs[0].weights.dtype)
+    check_input_shape(model, x.shape)
     _, grads = _loss_and_grads(model, x, target, _rng(rng_seed))
     return grads
 
@@ -392,7 +380,7 @@ def _as_dataset(name, data, model: Model):
         raise ValueError(f"{name} set is empty")
     if targets.shape != inputs.shape[:3]:
         raise ValueError(f"{name} set must be (N, H, W, C) inputs with (N, H, W) targets")
-    _check_shape(model, inputs.shape[1:])
+    check_input_shape(model, inputs.shape[1:])
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError(f"{name} set holds NaN or infinite values")
     return inputs, targets
@@ -412,7 +400,7 @@ def train(model: Model, train_set, val_set, cfg: TrainConfig, progress=None) -> 
     ``(epoch, train_loss, val_loss)`` with 1-based epoch numbers.  The
     input model is not modified.  ``progress``, if given, is called with
     each history row as soon as its epoch ends.  Both sets are checked
-    before the first step, with the shape rule of :func:`model_forward`.
+    before the first step, with :func:`check_input_shape`.
     """
     train_x, train_y = _as_dataset("train", train_set, model)
     val_x, val_y = _as_dataset("val", val_set, model)
@@ -543,7 +531,7 @@ def load_model(path) -> Model:
             raise ValueError("weights file must hold (weights, bias) record pairs")
         model = Model([ConvLayer(records[i], records[i + 1])
                        for i in range(0, len(records), 2)])
-        channels = (model.in_channels, model.convs[-1].weights.shape[3])
+        channels = (model.convs[0].weights.shape[2], model.convs[-1].weights.shape[3])
         if channels != (2, 1):
             raise ValueError(f"the network maps {channels[0]} channels to {channels[1]}; "
                              "predicting a config takes 2 to 1")

@@ -339,11 +339,16 @@ def load_splits(data_dir) -> dict:
 def load_arrays(data_dir):
     """The stored float32 records, stacked: (N, H, W, 2) inputs and
     (N, H, W) targets, checked against the manifest's grid and surface.
-    The model casts them to its own dtype."""
+    A record holding any value other than +1 or -1 is refused, naming the
+    file and the record.  The model casts them to its own dtype."""
     from risopt.tensorfile import load_tensors
 
     def stacked(name):  # its record list dies on return, before the next file is read
-        records = load_tensors(data_dir / name)
+        path = data_dir / name
+        records = load_tensors(path)
+        for i, record in enumerate(records):  # one record at a time: no larger peak
+            if not (np.abs(record) == 1).all():
+                raise ValueError(f"{path}: record {i} holds a value other than +1 or -1")
         return np.stack(records) if records else np.empty(0, "<f4")
 
     data_dir = Path(data_dir)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from risopt.cnn import Model, _check_shape, pm1_to_states, predict_config, stripe_states
+from risopt.cnn import Model, check_input_shape, pm1_to_states, predict_config, stripe_states
 from risopt.data import SPLIT_NAMES, load_arrays, load_manifest, load_splits
 from risopt.optimizers import combine_stripes
 from risopt.physics import (
@@ -86,7 +86,7 @@ def evaluate_split(data_dir, model: Model, split: str = "test",
         raise ValueError(f"unknown split {split!r}; expected one of {', '.join(SPLIT_NAMES)}")
     manifest = load_manifest(data_dir)
     geom = manifest.geometry
-    _check_shape(model, (geom.n_rows, geom.m_cols, 2))
+    check_input_shape(model, (geom.n_rows, geom.m_cols, 2))
     splits = load_splits(data_dir)
     if not splits[split]:
         raise ValueError(f"split {split!r} of {data_dir} has no samples to score")

@@ -20,7 +20,7 @@ import pytest
 from risopt import cli, cnn
 from risopt.cli import build_parser, main, pattern_csv
 from risopt.cnn import load_model
-from risopt.data import DATASET_FILES, AngularGrid, load_manifest, load_splits
+from risopt.data import DATASET_FILES, AngularGrid, generate_dataset, load_manifest, load_splits
 from risopt.physics import (
     PatternGrid,
     PhaseConfig,
@@ -1132,9 +1132,78 @@ def test_generate_refuses_a_surface_below_the_largest_kernel(tmp_path, capsys, m
     argv = [str(tmp_path / a) if a == _MISSING else a for a in _BAD_FLAGS["generate"]]
     assert main([*argv, "--ris-m", m, "--ris-n", n]) == 2
     assert capsys.readouterr().err == (
-        f"error: --ris-m {m} x --ris-n {n} is smaller than the network's largest "
-        "kernel (5); give both at least 5\n")
+        f"error: the default network cannot take the images of --ris-m {m} x --ris-n {n}: "
+        f"input ({n}, {m}, 2) is smaller than the largest kernel (5x5)\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def surfaces_below_the_kernels(tmp_path_factory):
+    """Library-made 3x3 and 6x6 datasets, which generate refuses, and the
+    weights of a network with one 9x9 kernel."""
+    root = tmp_path_factory.mktemp("below")
+    datasets = {side: root / f"{side}x{side}" for side in (3, 6)}
+    for side, ds in datasets.items():
+        generate_dataset(RisGeometry.half_wavelength(side, side, 10e9), TxSpec(0.6), 4.0,
+                         AngularGrid(0.0, 20.0, 0.0, 20.0, 20.0), ds,
+                         split_ratios=(0.5, 0.25, 0.25))
+    wide = root / "wide.rist"
+    cnn.save_model(wide, cnn.Model([cnn.ConvLayer(np.zeros((9, 9, 2, 1)), np.zeros(1))]))
+    return datasets, wide
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "optimize"])
+def test_surface_the_network_cannot_take_is_refused_before_any_work(
+        pipeline, surfaces_below_the_kernels, tmp_path, capsys, monkeypatch, command):
+    # optimize --method cnn once ran both stripe searches, and train replaced
+    # the earlier history, before the network refused the image
+    datasets, wide = surfaces_below_the_kernels
+    weights = pipeline["weights"]  # the default network, trained at 8x8
+    monkeypatch.setattr(cli, "gim_optimize", _never)
+    monkeypatch.setattr(cnn, "_loss_and_grads", _never)
+    history = tmp_path / "net_history.csv"
+    history.write_text("epoch,train_loss,val_loss\n1,0.5,0.25\n", encoding="utf-8")
+    argv, code, network, images, shape, kernel = {
+        "generate": (["generate", "--ris-m", "4", "--ris-n", "40", "--out", "ds"], 2,
+                     "default network", "--ris-m 4 x --ris-n 40", (40, 4, 2), 5),
+        "train": (["train", "--data", datasets[3], "--weights-out", "net.rist"], 1,
+                  "default network", f"the dataset {datasets[3]}", (3, 3, 2), 5),
+        "eval": (["eval", "--data", datasets[6], "--weights", wide, "--report-out", "r.csv"], 1,
+                 f"network of --weights {wide}", f"the dataset {datasets[6]}", (6, 6, 2), 9),
+        "optimize": (["optimize", "--ris-m", "3", "--ris-n", "8", "--method", "cnn", "--el", "0",
+                      "--az", "0", "--weights", weights, "--config-out", "cfg.rist"], 2,
+                     f"network of --weights {weights}", "--ris-m 3 x --ris-n 8", (8, 3, 2), 5),
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert main([str(a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the {network} cannot take the images of {images}: "
+                            f"input {shape} is smaller than the largest kernel "
+                            f"({kernel}x{kernel})\n")
+    assert list(tmp_path.iterdir()) == [history]
+    assert history.read_text(encoding="utf-8") == "epoch,train_loss,val_loss\n1,0.5,0.25\n"
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("eval", "test")])
+def test_dataset_record_other_than_pm1_is_refused_before_any_write(
+        surface_12x10, tmp_path, capsys, command, split):
+    # eval once scored a NaN input and exited 0; train refused it only after
+    # it had replaced the earlier history
+    ds = tmp_path / "ds"
+    shutil.copytree(surface_12x10[0], ds)
+    index = load_splits(ds)[split][0]
+    records = load_tensors(ds / "inputs.rist")
+    records[index][0, 0, 0] = np.nan
+    save_tensors(ds / "inputs.rist", records)
+    history = tmp_path / "out_history.csv"
+    history.write_text("epoch,train_loss,val_loss\n1,0.5,0.25\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_dataset_command(command, ds, surface_12x10[1], out)) == 1
+    assert capsys.readouterr().err == (f"error: {ds / 'inputs.rist'}: record {index} holds "
+                                       "a value other than +1 or -1\n")
+    assert sorted(tmp_path.iterdir()) == [ds, history]
+    assert history.read_text(encoding="utf-8") == "epoch,train_loss,val_loss\n1,0.5,0.25\n"
 
 
 _RLIMITED = """

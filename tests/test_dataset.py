@@ -470,6 +470,21 @@ def test_load_arrays_names_an_empty_record_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name", ["inputs.rist", "targets.rist"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, 0.5, -2.0])
+def test_load_arrays_refuses_a_record_value_other_than_pm1(tmp_path, name, value):
+    # a NaN in a test input once scored as a 14.955 dB gap, and one in a train
+    # input failed only after train had replaced the earlier history
+    geom, tx = small_setup()
+    generate_dataset(geom, tx, 10.0, AngularGrid(0.0, 40.0, 0.0, 20.0, 20.0), tmp_path)
+    records = load_tensors(tmp_path / name)
+    records[4].flat[5] = value
+    save_tensors(tmp_path / name, records)
+    message = f"{tmp_path / name}: record 4 holds a value other than +1 or -1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_arrays(tmp_path)
+
+
 @pytest.mark.parametrize("count, flat", [
     pytest.param(count, flat, id=f"{count}-flat" if flat else str(count))
     for flat in (False, True)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from risopt.cli import main
+from risopt.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -64,3 +64,18 @@ def test_readme_small_run_runs(tmp_path, monkeypatch, capsys):
         "data/inputs.rist", "data/targets.rist", "data/samples.json", "data/splits.json",
         "data/manifest.json", "net.rist", "net_history.csv", "net_run.json", "report.csv",
         "report_summary.json"))
+
+
+def test_every_readme_command_line_parses():
+    # parsed, not run: a renamed or removed flag would leave the README stale
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("risopt ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert {argv[0] for argv in commands} == {"generate", "train", "eval", "optimize", "pattern"}
+    for line, argv in zip(lines, commands):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README line does not parse: {line}") from None
